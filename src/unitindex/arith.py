@@ -161,22 +161,6 @@ def _sieve_upto(n: int) -> list[int]:
     return [i for i in range(2, n + 1) if flags[i]]
 
 
-def smallest_prime_factors(n: int) -> bytearray:
-    """SPF-style sieve: table[k] = 1 iff k is prime, for 0 <= k <= n.
-
-    (Kept as a plain primality table; divisor walks below re-derive factors.)
-    """
-    flags = bytearray([1]) * (n + 1)
-    if n >= 0:
-        flags[0] = 0
-    if n >= 1:
-        flags[1] = 0
-    for p in range(2, math.isqrt(n) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return flags
-
-
 @dataclass(frozen=True)
 class SquarefreeD:
     """A squarefree integer with its ascending prime factorization."""

@@ -8,11 +8,15 @@ The governing route re-derives the same verdict from quadratic symbols of
 primary Gaussian primes against a primary prime over p.  The two must
 agree on every evaluated prime; evaluate() records a disagreement as an
 alarm instead of picking a side.
+
+Facts that depend on p only through its split set (membership, the
+structure tuple, the splitting d = a*b) live in a per-d DContext, so a
+scan computes each of them once per split set rather than once per prime.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .arith import SquarefreeD, factor_squarefree, is_prime
 from .construction import (
@@ -25,13 +29,7 @@ from .construction import (
     split_generator,
     totally_real,
 )
-from .errors import (
-    HeightExceeded,
-    LocalObstruction,
-    OutOfScopeM,
-    PreconditionViolated,
-    TheoryViolation,
-)
+from .errors import OutOfScopeM, PreconditionViolated, UnitIndexError
 from .gaussian import GaussInt, quad_symbol, split_primary
 from .quadfield import pell_negative_unit
 from .redei import (
@@ -108,14 +106,87 @@ class RankCheck:
     rational_full_rank: bool
 
 
-def _as_sd(d: int | SquarefreeD) -> SquarefreeD:
-    return d if isinstance(d, SquarefreeD) else factor_squarefree(d)
-
-
 def _composite(sd: SquarefreeD, p: int) -> SquarefreeD:
     """d*p with the factor list merged, skipping a refactorization."""
     factors = tuple(sorted(sd.factors + (p,)))
     return SquarefreeD(sd.d * p, factors)
+
+
+@dataclass(frozen=True)
+class DContext:
+    """Per-d context: the factorization of d and tables keyed by split set.
+
+    The split set S of a prime p is the tuple of factors of d that split in
+    Q(sqrt(p)).  By Redei's matrix argument the composite 4-rank of d*p,
+    hence membership and the structure tuple, and the splitting d = a*b
+    that find_decomposition picks depend on p only through S.  Each entry
+    is filled by those per-prime definitions at the first p with its S and
+    reused for every later one; a fill that raises stores nothing.
+    """
+
+    sd: SquarefreeD
+    _membership: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _decompositions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def membership(self, split: tuple[int, ...], p: int) -> tuple[int, tuple | None]:
+        """Composite 4-rank of d*p and the predicted (rk2, rk4, rk8, h_plus)
+        of the narrow class group, None unless p is a member with m < t."""
+        entry = self._membership.get(split)
+        if entry is None:
+            r4 = redei_rank4(_composite(self.sd, p))
+            t, m = self.sd.t, len(split)
+            structure = (t + m - 1, t - m - 1, 0, 1 << (2 * t - 2)) if r4 == 0 and m < t else None
+            entry = self._membership[split] = (r4, structure)
+        return entry
+
+    def decomposition(self, split: tuple[int, ...], p: int) -> Decomposition:
+        dec = self._decompositions.get(split)
+        if dec is None:
+            dec = self._decompositions[split] = find_decomposition(self.sd, p)
+        return dec
+
+
+def _context(d: int | SquarefreeD | DContext) -> DContext:
+    if isinstance(d, DContext):
+        return d
+    return DContext(d if isinstance(d, SquarefreeD) else factor_squarefree(d))
+
+
+def _classify(ctx: DContext, p: int) -> tuple[PrimeVerdict, tuple[int, ...]]:
+    """The one per-prime pass: classify() plus the split set of p."""
+    if not is_prime(p):
+        raise PreconditionViolated(f"{p} is not prime")
+    if ctx.sd.d % p == 0:
+        return PrimeVerdict(p=p, m=None, in_P=False, reason="p divides d"), ()
+    if p % 4 != 1:
+        return PrimeVerdict(p=p, m=None, in_P=False, reason="p = 3 (mod 4)"), ()
+    split, _ = ordered_factors(ctx.sd, p)
+    m = len(split)
+    r4, structure = ctx.membership(split, p)
+    if r4 != 0:
+        verdict = PrimeVerdict(p=p, m=m, in_P=False, reason=f"composite 4-rank is {r4}")
+    elif m == ctx.sd.t:
+        verdict = PrimeVerdict(p=p, m=m, in_P=True, reason="every factor splits; out of family")
+    else:
+        verdict = PrimeVerdict(p=p, m=m, in_P=True, structure=structure)
+    return verdict, split
+
+
+def _member(ctx: DContext, p: int, scope) -> tuple[PrimeVerdict, tuple[int, ...]]:
+    """_classify() for a member p whose split count m lies in ``scope``.
+
+    Scope is checked before membership, so an out-of-scope m raises
+    OutOfScopeM even when p is not in the family either.
+    """
+    verdict, split = _classify(ctx, p)
+    sd = ctx.sd
+    if verdict.m is None:
+        raise PreconditionViolated(f"{p} is not a candidate prime for d = {sd.d}")
+    if verdict.m not in scope:
+        raise OutOfScopeM(f"m = {verdict.m} with t = {sd.t} is outside m in {sorted(scope)}")
+    if not verdict.in_P:
+        raise PreconditionViolated(f"p = {p} is not in the family for d = {sd.d}: {verdict.reason}")
+    return verdict, split
 
 
 def classify(d: int | SquarefreeD, p: int) -> PrimeVerdict:
@@ -125,22 +196,12 @@ def classify(d: int | SquarefreeD, p: int) -> PrimeVerdict:
     4-rank of the composite discriminant d*p.  Members with every factor
     split (m = t) are flagged in ``reason`` and never evaluated further.
     """
-    sd = _as_sd(d)
-    if not is_prime(p):
-        raise PreconditionViolated(f"{p} is not prime")
-    if sd.d % p == 0:
-        return PrimeVerdict(p=p, m=None, in_P=False, reason="p divides d")
-    if p % 4 != 1:
-        return PrimeVerdict(p=p, m=None, in_P=False, reason="p = 3 (mod 4)")
-    split, _ = ordered_factors(sd, p)
-    m = len(split)
-    r4 = redei_rank4(_composite(sd, p))
-    if r4 != 0:
-        return PrimeVerdict(p=p, m=m, in_P=False, reason=f"composite 4-rank is {r4}")
-    if m == sd.t:
-        return PrimeVerdict(p=p, m=m, in_P=True, reason="every factor splits; out of family")
-    structure = (sd.t + m - 1, sd.t - m - 1, 0, 1 << (2 * sd.t - 2))
-    return PrimeVerdict(p=p, m=m, in_P=True, structure=structure)
+    verdict, _ = _classify(_context(d), p)
+    return verdict
+
+
+def _e_real(p: int, split: tuple[int, ...]) -> bool:
+    return all(fpr(p, q) * fpr(q, p) == 1 for q in split)
 
 
 def e_totally_real(d: int | SquarefreeD, p: int) -> bool:
@@ -150,73 +211,39 @@ def e_totally_real(d: int | SquarefreeD, p: int) -> bool:
     The dyadic factor runs through the same product; 2 splits only for
     p = 1 (mod 8), which is what fpr(p, 2) needs.
     """
-    sd = _as_sd(d)
-    if p % 4 != 1 or sd.d % p == 0:
-        raise PreconditionViolated(f"{p} is not a candidate prime for d = {sd.d}")
-    split, _ = ordered_factors(sd, p)
-    return all(fpr(p, q) * fpr(q, p) == 1 for q in split)
+    ctx = _context(d)
+    verdict, split = _classify(ctx, p)
+    if verdict.m is None:
+        raise PreconditionViolated(f"{p} is not a candidate prime for d = {ctx.sd.d}")
+    return _e_real(p, split)
 
 
-def _factor_blocks(dec: Decomposition) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _direct_index(ctx: DContext, p: int, split: tuple[int, ...], e_real: bool) -> int:
+    if len(split) == ctx.sd.t - 1:
+        return 2 if e_real else 1
+    dec = ctx.decomposition(split, p)
     a_factors = tuple(q for q, e in zip(dec.factors, dec.exponents) if e)
     b_factors = tuple(q for q, e in zip(dec.factors, dec.exponents) if not e)
-    return a_factors, b_factors
-
-
-def _direct_index(
-    sd: SquarefreeD, p: int, m: int, e_real: bool, dec: Decomposition | None
-) -> tuple[int, Decomposition | None]:
-    if m == sd.t - 1:
-        return (2 if e_real else 1), None
-    if dec is None:
-        dec = find_decomposition(sd, p)
-    a_factors, b_factors = _factor_blocks(dec)
     sign = (
-        fpr(sd.d, p)
+        fpr(ctx.sd.d, p)
         * fpr_product(dec.a * p, b_factors)
         * fpr_product(dec.b * p, a_factors)
     )
-    return (2 if e_real and sign == -1 else 1), dec
+    return 2 if e_real and sign == -1 else 1
 
 
-def _governing_index(
-    sd: SquarefreeD, p: int, split: tuple[int, ...], flip: bool, dec: Decomposition | None
-) -> tuple[int, Decomposition | None]:
+def _governing_index(ctx: DContext, p: int, split: tuple[int, ...], flip: bool) -> int:
     pi = split_primary(p, flip=flip)
     e_real = all(quad_symbol(split_primary(q, flip=flip), pi) == 1 for q in split)
-    if len(split) == sd.t - 1:
-        return (2 if e_real else 1), None
-    if dec is None:
-        dec = find_decomposition(sd, p)
+    if len(split) == ctx.sd.t - 1:
+        return 2 if e_real else 1
+    dec = ctx.decomposition(split, p)
     product = GaussInt(1, 0)
-    for q in sd.factors:
+    for q in ctx.sd.factors:
         product = product * split_primary(q, flip=flip)
     cross = quartic_cross_product(dec.a, dec.b, conjugate=flip)
     deeper_real = quad_symbol(product, pi) == -cross
-    return (2 if e_real and deeper_real else 1), dec
-
-
-def _candidate_split(sd: SquarefreeD, p: int) -> tuple[int, ...]:
-    """Split factors of d, after the cheap candidate checks on p."""
-    if not is_prime(p):
-        raise PreconditionViolated(f"{p} is not prime")
-    if sd.d % p == 0 or p % 4 != 1:
-        raise PreconditionViolated(f"{p} is not a candidate prime for d = {sd.d}")
-    split, _ = ordered_factors(sd, p)
-    return split
-
-
-def _require_scope(sd: SquarefreeD, m: int) -> None:
-    if m not in (sd.t - 1, sd.t - 2):
-        raise OutOfScopeM(f"m = {m} with t = {sd.t}: the index is only decided for m in {{t-1, t-2}}")
-
-
-def _require_member(sd: SquarefreeD, p: int) -> None:
-    r4 = redei_rank4(_composite(sd, p))
-    if r4 != 0:
-        raise PreconditionViolated(
-            f"p = {p} is not in the family for d = {sd.d}: composite 4-rank is {r4}"
-        )
+    return 2 if e_real and deeper_real else 1
 
 
 def unit_index(d: int | SquarefreeD, p: int) -> int:
@@ -228,13 +255,9 @@ def unit_index(d: int | SquarefreeD, p: int) -> int:
     the decomposition picked by find_decomposition and composite moduli
     expanded over their prime factors.
     """
-    sd = _as_sd(d)
-    split = _candidate_split(sd, p)
-    _require_scope(sd, len(split))
-    _require_member(sd, p)
-    e_real = e_totally_real(sd, p)
-    index, _ = _direct_index(sd, p, len(split), e_real, None)
-    return index
+    ctx = _context(d)
+    _, split = _member(ctx, p, (ctx.sd.t - 1, ctx.sd.t - 2))
+    return _direct_index(ctx, p, split, _e_real(p, split))
 
 
 def unit_index_via_governing(d: int | SquarefreeD, p: int, flip: bool = False) -> int:
@@ -246,12 +269,9 @@ def unit_index_via_governing(d: int | SquarefreeD, p: int, flip: bool = False) -
     mutual quartic sign of the decomposition.  ``flip`` switches every
     primary choice to its conjugate at once; the verdict must not move.
     """
-    sd = _as_sd(d)
-    split = _candidate_split(sd, p)
-    _require_scope(sd, len(split))
-    _require_member(sd, p)
-    index, _ = _governing_index(sd, p, split, flip, None)
-    return index
+    ctx = _context(d)
+    _, split = _member(ctx, p, (ctx.sd.t - 1, ctx.sd.t - 2))
+    return _governing_index(ctx, p, split, flip)
 
 
 def predicted_structure(d: int | SquarefreeD, p: int) -> StructurePrediction:
@@ -261,26 +281,18 @@ def predicted_structure(d: int | SquarefreeD, p: int) -> StructurePrediction:
     class number 2^(2t-3) times the index is filled in when m is within
     scope, otherwise both index candidates are reported.
     """
-    sd = _as_sd(d)
-    if sd.t < 2:
+    ctx = _context(d)
+    t = ctx.sd.t
+    if t < 2:
         raise PreconditionViolated("structure formulas need at least two factors in d")
-    m = len(_candidate_split(sd, p))
-    if m == sd.t:
-        raise OutOfScopeM("every factor splits; no structure is asserted")
-    _require_member(sd, p)
-    if m in (sd.t - 1, sd.t - 2):
-        q = unit_index(sd, p)
-        h, q_range = q << (2 * sd.t - 3), (q,)
+    # every factor split (m = t) asserts no structure
+    verdict, split = _member(ctx, p, range(t))
+    if verdict.m in (t - 1, t - 2):
+        q = _direct_index(ctx, p, split, _e_real(p, split))
+        h, q_range = q << (2 * t - 3), (q,)
     else:
         h, q_range = None, (1, 2)
-    return StructurePrediction(
-        rk2=sd.t + m - 1,
-        rk4=sd.t - m - 1,
-        rk8=0,
-        h_plus=1 << (2 * sd.t - 2),
-        h=h,
-        q_range=q_range,
-    )
+    return StructurePrediction(*verdict.structure, h=h, q_range=q_range)
 
 
 def _construction_real(sd: SquarefreeD, p: int, dec: Decomposition) -> bool:
@@ -290,54 +302,51 @@ def _construction_real(sd: SquarefreeD, p: int, dec: Decomposition) -> bool:
     return totally_real(normalize_solution(solution), pell_negative_unit(p))
 
 
-def evaluate(d: int | SquarefreeD, p: int, construction_check: bool = False) -> PrimeVerdict:
+def evaluate(d: int | SquarefreeD | DContext, p: int, construction_check: bool = False) -> PrimeVerdict:
     """Full verdict for one prime: membership, both index routes, structure.
 
-    Route failures never raise out of here; they land in ``alarms`` so a
-    long scan reports them instead of dying.  ``construction_check`` also
-    solves the ternary equation for m = t-2 and compares the sign of the
-    resulting generator with the symbol verdict.
+    Library failures (any UnitIndexError) inside a route never raise out of
+    here; they land in ``alarms`` so a long scan reports them instead of
+    dying.  ``construction_check`` also solves the ternary equation for
+    m = t-2 and compares the sign of the resulting generator with the
+    symbol verdict.  Pass one DContext for many primes of the same d to
+    share its split-set tables.
     """
-    sd = _as_sd(d)
-    verdict = classify(sd, p)
+    ctx = _context(d)
+    sd = ctx.sd
+    verdict, split = _classify(ctx, p)
     if verdict.m is None:
         return verdict
     # E-reality is a property of (d, p) alone; record it even when the
     # 4-rank filter rejects p, so density denominators are the full m-cell
-    e_real = e_totally_real(sd, p)
+    e_real = _e_real(p, split)
     verdict = replace(verdict, e_totally_real=e_real)
-    if not verdict.in_P:
-        return verdict
     m = verdict.m
-    alarms: list[str] = []
-    if m not in (sd.t - 1, sd.t - 2):
-        if m != sd.t and not verdict.reason:
+    if not verdict.in_P or m not in (sd.t - 1, sd.t - 2):
+        if verdict.in_P and m < sd.t - 2:
             verdict = replace(verdict, reason="index not asserted for m <= t-3")
         return verdict
 
-    dec: Decomposition | None = None
+    alarms: list[str] = []
     q_direct: int | None = None
     q_governing: int | None = None
     try:
-        q_direct, dec = _direct_index(sd, p, m, e_real, None)
-    except TheoryViolation as exc:
+        q_direct = _direct_index(ctx, p, split, e_real)
+    except UnitIndexError as exc:
         alarms.append(f"direct route: {exc}")
-    except PreconditionViolated as exc:
-        alarms.append(f"direct route precondition: {exc}")
-    split, _ = ordered_factors(sd, p)
     try:
-        q_governing, dec = _governing_index(sd, p, split, False, dec)
-    except TheoryViolation as exc:
-        alarms.append(f"governing route: {exc}")
-    except PreconditionViolated as exc:
-        if sd.d % 2 == 0 and p % 8 == 5:
+        q_governing = _governing_index(ctx, p, split, False)
+    except UnitIndexError as exc:
+        if isinstance(exc, PreconditionViolated) and sd.d % 2 == 0 and p % 8 == 5:
             # the dyadic block makes b = p = 5 (mod 8), outside the domain
             # of the even-case cross product; documented, not alarming
             verdict = replace(verdict, reason="governing route undefined: b = 5 (mod 8)")
         else:
-            alarms.append(f"governing route precondition: {exc}")
+            alarms.append(f"governing route: {exc}")
     if q_direct is not None and q_governing is not None and q_direct != q_governing:
         alarms.append(f"routes disagree: direct {q_direct}, governing {q_governing}")
+    # present once a route found the splitting (only ever for m = t-2)
+    dec = ctx._decompositions.get(split)
 
     if construction_check and m == sd.t - 2 and dec is not None and q_direct is not None:
         try:
@@ -347,11 +356,7 @@ def evaluate(d: int | SquarefreeD, p: int, construction_check: bool = False) -> 
                     f"construction check: generator sign {beta_real} with E real {e_real} "
                     f"contradicts index {q_direct}"
                 )
-        except LocalObstruction as exc:
-            alarms.append(f"construction check: local obstruction at {exc.place}")
-        except HeightExceeded as exc:
-            alarms.append(f"construction check: {exc}")
-        except TheoryViolation as exc:
+        except UnitIndexError as exc:
             alarms.append(f"construction check: {exc}")
 
     return replace(
@@ -371,7 +376,7 @@ def generalized_rank_check(d: int | SquarefreeD, p: int, flip_root: bool = False
     kernel dimension minus one next to the predicted t - m - 1.  Refuses a
     split dyadic factor, where the symbol rows are not defined.
     """
-    sd = _as_sd(d)
+    sd = _context(d).sd
     split, _ = ordered_factors(sd, p)
     alphas = []
     for q in split:

@@ -1,35 +1,39 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, all under UnitIndexError."""
 
 
-class PreconditionViolated(ValueError):
+class UnitIndexError(Exception):
+    """Base of every failure the library raises on purpose."""
+
+
+class PreconditionViolated(UnitIndexError, ValueError):
     """An argument fails the defining condition of the requested operation."""
 
 
-class NoSquareRoot(ValueError):
+class NoSquareRoot(UnitIndexError, ValueError):
     """Modular square root requested for a quadratic non-residue."""
 
 
-class NotSquarefree(ValueError):
+class NotSquarefree(UnitIndexError, ValueError):
     """Input has a repeated prime factor where a squarefree value is required."""
 
 
-class CompositeResidualFactor(RuntimeError):
+class CompositeResidualFactor(UnitIndexError, RuntimeError):
     """Factorization gave up with a composite cofactor left over."""
 
 
-class NotSplit(ValueError):
+class NotSplit(UnitIndexError, ValueError):
     """Rational prime does not split in the requested extension."""
 
 
-class NotCoprime(ValueError):
+class NotCoprime(UnitIndexError, ValueError):
     """Symbol numerator shares a factor with the modulus."""
 
 
-class NoNegativeNormUnit(ValueError):
+class NoNegativeNormUnit(UnitIndexError, ValueError):
     """The real quadratic field has no unit of norm -1."""
 
 
-class LocalObstruction(ValueError):
+class LocalObstruction(UnitIndexError, ValueError):
     """A ternary form has no nontrivial zero over some completion."""
 
     def __init__(self, place, message=None):
@@ -37,19 +41,19 @@ class LocalObstruction(ValueError):
         super().__init__(message or f"no nontrivial solution over the completion at {place}")
 
 
-class HeightExceeded(RuntimeError):
+class HeightExceeded(UnitIndexError, RuntimeError):
     """Solution search exhausted its height bound."""
 
 
-class IterationLimitExceeded(RuntimeError):
+class IterationLimitExceeded(UnitIndexError, RuntimeError):
     """An iterative routine hit its safety cap."""
 
 
-class OutOfScopeM(ValueError):
+class OutOfScopeM(UnitIndexError, ValueError):
     """The unit-index verdict is only defined for the two largest split counts."""
 
 
-class TheoryViolation(RuntimeError):
+class TheoryViolation(UnitIndexError, RuntimeError):
     """A numeric fact the underlying theory guarantees failed to hold.
 
     Raised instead of silently producing wrong output; scan drivers catch

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 from multiprocessing import get_context
 
 from .arith import factor_squarefree, primes_in_range
-from .criterion import PrimeVerdict, evaluate
+from .criterion import DContext, PrimeVerdict, evaluate
 from .errors import PreconditionViolated
 from .qfclassgroup import HypothesisReport, verify_hypotheses
 
@@ -104,8 +104,10 @@ def hypothesis_failure(report: HypothesisReport) -> str | None:
 
 
 def _sampled(p: int, seed: int) -> bool:
-    h = (p * 2654435761 + seed * 40503) & 0xFFFFFFFF
-    return h % _SAMPLE_MOD == 0
+    # p = 1 (mod 4) fixes the low bits of p, so hash p >> 2 and read the
+    # well-mixed high bits of the product
+    h = ((p >> 2) * 2654435761 + seed * 40503) & 0xFFFFFFFF
+    return (h >> 16) % _SAMPLE_MOD == 0
 
 
 def record_of(v: PrimeVerdict) -> dict:
@@ -126,12 +128,12 @@ def record_of(v: PrimeVerdict) -> dict:
 
 def _scan_chunk(args: tuple[int, int, int, int]) -> list[dict]:
     d, lo, hi, seed = args
-    sd = factor_squarefree(d)
+    ctx = DContext(factor_squarefree(d))
     out = []
     for p in primes_in_range(lo, hi):
         if p % 4 != 1 or d % p == 0:
             continue
-        v = evaluate(sd, p, construction_check=_sampled(p, seed))
+        v = evaluate(ctx, p, construction_check=_sampled(p, seed))
         out.append(record_of(v))
     return out
 

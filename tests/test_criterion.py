@@ -1,7 +1,10 @@
 import pytest
 
+from unitindex import criterion, errors
 from unitindex.arith import factor_squarefree, primes_in_range
+from unitindex.construction import find_decomposition
 from unitindex.criterion import (
+    DContext,
     PrimeVerdict,
     StructurePrediction,
     classify,
@@ -12,9 +15,9 @@ from unitindex.criterion import (
     unit_index,
     unit_index_via_governing,
 )
-from unitindex.errors import OutOfScopeM, PreconditionViolated
+from unitindex.errors import NotCoprime, OutOfScopeM, PreconditionViolated, UnitIndexError
 from unitindex.gaussian import GaussInt, quad_symbol, split_primary
-from unitindex.redei import ordered_factors
+from unitindex.redei import ordered_factors, redei_rank4
 from unitindex.symbols import fpr
 
 
@@ -238,3 +241,82 @@ def test_generalized_rank_matches_prediction():
 def test_generalized_rank_refuses_split_dyadic():
     with pytest.raises(PreconditionViolated):
         generalized_rank_check(170, 73)
+
+
+def _outcome(fn):
+    """The value fn returns, or the class of the library error it raises."""
+    try:
+        return fn()
+    except UnitIndexError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("d", [65, 85, 1105, 2210, 32045, 1185665, 2371330])
+def test_split_set_tables_match_per_prime_oracles(d):
+    # t = 2..6, odd and even d: one context serves every prime, so each
+    # table entry filled at an earlier prime must fit every later prime
+    # with the same split set
+    sd = factor_squarefree(d)
+    ctx = DContext(sd)
+    t = sd.t
+    checked = 0
+    for p in primes_in_range(5, 30000):
+        if p % 4 != 1 or d % p == 0:
+            continue
+        split, _ = ordered_factors(sd, p)
+        m = len(split)
+        r4 = redei_rank4(criterion._composite(sd, p))
+        structure = (t + m - 1, t - m - 1, 0, 1 << (2 * t - 2)) if r4 == 0 and m < t else None
+        assert ctx.membership(split, p) == (r4, structure)
+        if m == t - 2:
+            assert _outcome(lambda: ctx.decomposition(split, p)) == _outcome(
+                lambda: find_decomposition(sd, p)
+            )
+        v = evaluate(ctx, p)
+        assert (v.m, v.in_P, v.structure) == (m, r4 == 0, structure if m < t else None)
+        assert v.alarms == ()
+        if v.q_direct is not None:
+            if v.q_governing is None:
+                assert d % 2 == 0 and p % 8 == 5
+            else:
+                assert v.q_governing == v.q_direct
+            checked += 1
+    assert checked > 200
+
+
+def test_every_library_error_shares_one_base():
+    classes = [
+        obj
+        for obj in vars(errors).values()
+        if isinstance(obj, type) and issubclass(obj, Exception) and obj.__module__ == errors.__name__
+    ]
+    assert errors.NonRealSymbolProduct in classes
+    for cls in classes:
+        assert issubclass(cls, UnitIndexError)
+        if cls is not UnitIndexError:
+            assert issubclass(cls, (ValueError, RuntimeError))
+    assert issubclass(errors.PreconditionViolated, ValueError)
+    assert issubclass(errors.TheoryViolation, RuntimeError)
+
+
+def test_evaluate_turns_library_errors_into_alarms(monkeypatch):
+    def not_coprime(*args):
+        raise NotCoprime("planted")
+
+    monkeypatch.setattr(criterion, "_direct_index", not_coprime)
+    v = evaluate(65, 37)
+    assert v.q_direct is None and v.q_governing == 2
+    assert v.alarms == ("direct route: planted",)
+
+    monkeypatch.setattr(criterion, "_governing_index", not_coprime)
+    v = evaluate(10, 13)  # the documented gap is for PreconditionViolated only
+    assert v.reason == "" and v.alarms == ("direct route: planted", "governing route: planted")
+
+
+def test_evaluate_lets_bugs_propagate(monkeypatch):
+    def bug(*args):
+        raise TypeError("planted")
+
+    monkeypatch.setattr(criterion, "_governing_index", bug)
+    with pytest.raises(TypeError):
+        evaluate(65, 37)

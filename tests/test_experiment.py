@@ -1,9 +1,12 @@
 import json
+import math
 import os
 import struct
 
 import pytest
 
+from unitindex import criterion, experiment
+from unitindex.arith import primes_in_range
 from unitindex.errors import PreconditionViolated
 from unitindex.experiment import (
     ScanConfig,
@@ -205,3 +208,46 @@ def test_summarize_matches_manual_count():
     manual = sum(1 for r in records if r["m"] == 1 and r["Q_direct"] == 2)
     row = summary.rows[1]
     assert row.m == 1 and row.n_Q2 == manual
+
+
+def test_construction_sample_share_is_about_one_in_64_for_every_seed():
+    candidates = [p for p in primes_in_range(5, 200000) if p % 4 == 1]
+    n, share = len(candidates), 1 / 64
+    bound = 4 * math.sqrt(n * share * (1 - share))  # four binomial sigmas
+    for seed in range(8):
+        hits = sum(1 for p in candidates if experiment._sampled(p, seed))
+        assert abs(hits - n * share) <= bound, (seed, hits, n)
+
+
+def test_scan_splits_each_prime_once_and_fills_tables_per_split_set(monkeypatch):
+    # counted at the names criterion calls; find_decomposition's own
+    # internal split happens inside the bounded table fills
+    calls = {"ordered_factors": 0, "redei_rank4": 0, "find_decomposition": 0}
+    per_chunk = []
+
+    def counting(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("ordered_factors", "redei_rank4", "find_decomposition"):
+        counting(criterion, name)
+    chunk = experiment._scan_chunk
+
+    def counting_chunk(args):
+        before = dict(calls)
+        out = chunk(args)
+        per_chunk.append({k: calls[k] - before[k] for k in ("redei_rank4", "find_decomposition")})
+        return out
+
+    monkeypatch.setattr(experiment, "_scan_chunk", counting_chunk)
+    _, records = scan(1105, 20000, workers=1)
+    assert calls["ordered_factors"] == len(records) > 1000
+    assert len(per_chunk) > 1
+    for counts in per_chunk:
+        assert 0 < counts["redei_rank4"] <= 1 << 3
+        assert counts["find_decomposition"] <= 1 << 3
