@@ -19,8 +19,9 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def is_prime(n: int, rounds: int = 24) -> bool:
-    """Miller-Rabin, deterministic below 2^64."""
+def is_prime(n: int) -> bool:
+    """Miller-Rabin: the fixed bases below 2^64, where it is deterministic,
+    and 24 bases drawn from random.Random(n) above."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -31,22 +32,20 @@ def is_prime(n: int, rounds: int = 24) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-
-    def witness(a: int) -> bool:
+    if n < 1 << 64:
+        bases = _MR_BASES
+    else:
+        rng = random.Random(n)
+        bases = (rng.randrange(2, n - 1) for _ in range(24))
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
-            return False
+            continue
         for _ in range(s - 1):
             x = x * x % n
             if x == n - 1:
-                return False
-        return True
-
-    if n < 1 << 64:
-        return not any(witness(a) for a in _MR_BASES)
-    rng = random.Random(n)
-    for _ in range(rounds):
-        if witness(rng.randrange(2, n - 1)):
+                break
+        else:
             return False
     return True
 

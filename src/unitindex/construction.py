@@ -9,6 +9,7 @@ sign, against the Pell unit, decides total reality.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterator
@@ -29,7 +30,6 @@ from .symbols import INFINITY, hilbert
 MODE_DECOMPOSITION = "decomposition"  # p*x^2 - a*y^2 - b*z^2 = 0
 MODE_SPLIT = "split"  # x^2 - p*y^2 - a*z^2 = 0 (b unused)
 
-_EXPANSION_ROUNDS = 15
 _SEARCH_BUDGET = 10**7
 
 
@@ -83,46 +83,6 @@ class Decomposition:
             raise PreconditionViolated("exponent vector does not match a")
 
 
-def _solution_batch(
-    A: int, B: int, C: int, x_lo: int, x_hi: int, budget: int
-) -> tuple[list[tuple[int, int, int]], int]:
-    """Primitive nonnegative solutions of A*x^2 = B*y^2 + C*z^2 with
-    x_lo < x <= x_hi, sorted by (x, z, y), plus the number of steps spent.
-
-    The inner loop runs over the variable with the larger coefficient, so
-    the cost is about (x_hi^2 / 2) * sqrt(A / max(B, C)) steps; the batch
-    stops early (dropping the tail of the x range) once ``budget`` is gone.
-    """
-    out: list[tuple[int, int, int]] = []
-    spent = 0
-    solve_for_y = B <= C  # iterate the larger-coefficient variable
-    W = C if solve_for_y else B
-    S = B if solve_for_y else C
-    for x in range(x_lo + 1, x_hi + 1):
-        target = A * x * x
-        w_hi = math.isqrt(target // W)
-        spent += w_hi + 1
-        if spent > budget:
-            raise HeightExceeded(
-                f"search budget exhausted near x = {x} for ({A}, {-B}, {-C})"
-            )
-        found = []
-        for w in range(w_hi + 1):
-            rem = target - W * w * w
-            if rem % S:
-                continue
-            s2 = rem // S
-            s = math.isqrt(s2)
-            if s * s != s2:
-                continue
-            y, z = (s, w) if solve_for_y else (w, s)
-            if math.gcd(math.gcd(x, y), z) == 1:
-                found.append((x, y, z))
-        found.sort(key=lambda sol: (sol[2], sol[1]))
-        out.extend(found)
-    return out, spent
-
-
 def _check_local_solvability(c1: int, c2: int, c3: int) -> None:
     u = -c1 * c2
     v = -c1 * c3
@@ -156,12 +116,16 @@ def _squarefree_kernel(n: int) -> int:
 
 def _solutions(c1: int, c2: int, c3: int) -> Iterator[tuple[int, int, int]]:
     """All primitive solutions of c1*x^2 + c2*y^2 + c3*z^2 = 0 with
-    x, y, z >= 0, in (x, z, y)-lexicographic order, by expanding box search.
+    x, y, z >= 0, in (x, z, y)-lexicographic order, searched x by x.
 
-    The first box is the Holzer bound |x| <= sqrt(c2*c3), which contains a
-    solution whenever one exists and the coefficients are squarefree and
-    pairwise coprime; later doublings cover filtered callers and the one
-    non-squarefree coefficient case used here (a dyadic coefficient 8).
+    The solutions of each x are yielded as soon as that x is done.  The
+    inner loop runs over the variable with the larger coefficient W, so x
+    costs isqrt(c1*x^2 / W) + 1 steps; HeightExceeded is raised once the
+    running count passes _SEARCH_BUDGET.  The Holzer bound |x| <= sqrt(c2*c3)
+    holds a solution whenever one exists and the coefficients are squarefree
+    and pairwise coprime.  The search needs no cap on x: up to
+    x = 16384 * isqrt(c2*c3) the summed cost is at least 7 * 10^7 steps
+    (least at (1, -1, -3)), so the budget always ends it first.
     """
     if 0 in (c1, c2, c3):
         raise PreconditionViolated("coefficients must be nonzero")
@@ -173,18 +137,31 @@ def _solutions(c1: int, c2: int, c3: int) -> Iterator[tuple[int, int, int]]:
         raise PreconditionViolated("expected the sign pattern (+, -, -)")
     _check_local_solvability(c1, c2, c3)
     A, B, C = c1, -c2, -c3
-    cap = math.isqrt(B * C)
-    lo = 0
-    budget = _SEARCH_BUDGET
-    for _ in range(_EXPANSION_ROUNDS):
-        batch, spent = _solution_batch(A, B, C, lo, cap, budget)
-        budget -= spent
-        yield from batch
-        lo, cap = cap, cap * 2
-    raise HeightExceeded(
-        f"no acceptable solution of {c1}*x^2 + {c2}*y^2 + {c3}*z^2 = 0 "
-        f"with x <= {lo}"
-    )
+    solve_for_y = B <= C  # iterate the larger-coefficient variable
+    W, S = (C, B) if solve_for_y else (B, C)
+    spent = 0
+    for x in itertools.count(1):
+        target = A * x * x
+        w_hi = math.isqrt(target // W)
+        spent += w_hi + 1
+        if spent > _SEARCH_BUDGET:
+            raise HeightExceeded(
+                f"search budget exhausted near x = {x} for ({A}, {-B}, {-C})"
+            )
+        found = []
+        for w in range(w_hi + 1):
+            rem = target - W * w * w
+            if rem % S:
+                continue
+            s2 = rem // S
+            s = math.isqrt(s2)
+            if s * s != s2:
+                continue
+            y, z = (s, w) if solve_for_y else (w, s)
+            if math.gcd(math.gcd(x, y), z) == 1:
+                found.append((x, y, z))
+        found.sort(key=lambda sol: (sol[2], sol[1]))
+        yield from found
 
 
 def solve_legendre(c1: int, c2: int, c3: int) -> tuple[int, int, int]:
@@ -194,9 +171,7 @@ def solve_legendre(c1: int, c2: int, c3: int) -> tuple[int, int, int]:
     nonnegative.  Local solvability is checked first via Hilbert symbols,
     and a failing place is reported in the LocalObstruction it raises.
     """
-    for sol in _solutions(c1, c2, c3):
-        return sol
-    raise HeightExceeded("empty solution stream")  # pragma: no cover
+    return next(_solutions(c1, c2, c3))
 
 
 def split_generator(p: int, q: int, avoid: tuple[int, ...] = ()) -> tuple[TernarySolution, KpElement]:

@@ -320,12 +320,12 @@ def evaluate(d: int | SquarefreeD | DContext, p: int, construction_check: bool =
     # E-reality is a property of (d, p) alone; record it even when the
     # 4-rank filter rejects p, so density denominators are the full m-cell
     e_real = _e_real(p, split)
-    verdict = replace(verdict, e_totally_real=e_real)
     m = verdict.m
+    reason = verdict.reason
     if not verdict.in_P or m not in (sd.t - 1, sd.t - 2):
         if verdict.in_P and m < sd.t - 2:
-            verdict = replace(verdict, reason="index not asserted for m <= t-3")
-        return verdict
+            reason = "index not asserted for m <= t-3"
+        return replace(verdict, reason=reason, e_totally_real=e_real)
 
     alarms: list[str] = []
     q_direct: int | None = None
@@ -340,7 +340,7 @@ def evaluate(d: int | SquarefreeD | DContext, p: int, construction_check: bool =
         if isinstance(exc, PreconditionViolated) and sd.d % 2 == 0 and p % 8 == 5:
             # the dyadic block makes b = p = 5 (mod 8), outside the domain
             # of the even-case cross product; documented, not alarming
-            verdict = replace(verdict, reason="governing route undefined: b = 5 (mod 8)")
+            reason = "governing route undefined: b = 5 (mod 8)"
         else:
             alarms.append(f"governing route: {exc}")
     if q_direct is not None and q_governing is not None and q_direct != q_governing:
@@ -361,6 +361,8 @@ def evaluate(d: int | SquarefreeD | DContext, p: int, construction_check: bool =
 
     return replace(
         verdict,
+        reason=reason,
+        e_totally_real=e_real,
         q_direct=q_direct,
         q_governing=q_governing,
         decomposition=dec,

@@ -27,7 +27,8 @@ from .qfclassgroup import HypothesisReport, verify_hypotheses
 SCHEMA_VERSION = 1
 
 _MAGIC = b"UIDXSCN\x00"
-_LOG_VERSION = 1
+_LOG_VERSION = 2
+_HEADER = struct.Struct(">QQI")  # d, X, low 32 bits of the seed
 _SAMPLE_MOD = 64  # about one construction cross-check per this many primes
 
 
@@ -155,33 +156,34 @@ def _chunk_ranges(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
 class _CheckpointLog:
     """Append-only length-prefixed record log with a magic header.
 
-    Layout: 8-byte magic, one version byte, big-endian u64 d and u64 X,
-    then records, each a big-endian u32 byte length followed by compact
-    JSON.  A torn tail (from a killed scan) is truncated on open.
+    Layout: 8-byte magic, one version byte, big-endian u64 d, u64 X and
+    u32 sampling seed (the low 32 bits, all that _sampled reads), then
+    records, each a big-endian u32 byte length followed by compact JSON.
+    A torn tail (from a killed scan) is truncated on open.
     """
 
-    def __init__(self, path: str, d: int, X: int):
-        self.path = path
-        self.d = d
-        self.X = X
+    def __init__(self, cfg: ScanConfig):
+        self.path = cfg.checkpoint
+        self.header = (cfg.d, cfg.X, cfg.seed & 0xFFFFFFFF)
         self.records: list[dict] = []
-        if os.path.exists(path) and os.path.getsize(path) > 0:
+        if os.path.exists(self.path) and os.path.getsize(self.path) > 0:
             self._load()
         else:
-            with open(path, "wb") as fh:
-                fh.write(_MAGIC + bytes([_LOG_VERSION]) + struct.pack(">QQ", d, X))
+            with open(self.path, "wb") as fh:
+                fh.write(_MAGIC + bytes([_LOG_VERSION]) + _HEADER.pack(*self.header))
 
     def _load(self):
         with open(self.path, "rb") as fh:
-            head = fh.read(len(_MAGIC) + 1 + 16)
-            if len(head) < len(_MAGIC) + 1 + 16 or not head.startswith(_MAGIC):
+            head = fh.read(len(_MAGIC) + 1 + _HEADER.size)
+            if len(head) < len(_MAGIC) + 1 + _HEADER.size or not head.startswith(_MAGIC):
                 raise PreconditionViolated(f"{self.path} is not a scan checkpoint")
             if head[len(_MAGIC)] != _LOG_VERSION:
                 raise PreconditionViolated(f"unsupported checkpoint version {head[len(_MAGIC)]}")
-            d, X = struct.unpack(">QQ", head[len(_MAGIC) + 1 :])
-            if (d, X) != (self.d, self.X):
+            d, X, seed = _HEADER.unpack(head[len(_MAGIC) + 1 :])
+            if (d, X, seed) != self.header:
                 raise PreconditionViolated(
-                    f"checkpoint was written for d = {d}, X = {X}; refusing to mix scans"
+                    f"checkpoint was written for d = {d}, X = {X}, seed = {seed}; "
+                    "refusing to mix scans"
                 )
             good_end = fh.tell()
             while True:
@@ -250,7 +252,7 @@ def run_scan(cfg: ScanConfig) -> tuple[DensitySummary, list[dict]]:
     if failure is not None:
         raise PreconditionViolated(failure)
 
-    log = _CheckpointLog(cfg.checkpoint, cfg.d, cfg.X) if cfg.checkpoint else None
+    log = _CheckpointLog(cfg) if cfg.checkpoint else None
     records: list[dict] = list(log.records) if log else []
     lo = records[-1]["p"] + 1 if records else 5
     ranges = _chunk_ranges(lo, cfg.X, cfg.workers)

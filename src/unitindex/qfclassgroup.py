@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .arith import SquarefreeD, factor_squarefree, jacobi
 from .errors import (
@@ -22,7 +21,6 @@ from .errors import (
 from .redei import redei_rank4
 
 _REDUCE_CAP = 10_000
-_DIVISOR_TABLE_LIMIT = 40_000
 
 
 @dataclass(frozen=True)
@@ -48,18 +46,7 @@ class HypothesisReport:
     passed: bool
 
 
-@lru_cache(maxsize=1)
-def _divisor_table(limit: int) -> list[list[int]]:
-    table: list[list[int]] = [[] for _ in range(limit + 1)]
-    for a in range(1, limit + 1):
-        for n in range(a, limit + 1, a):
-            table[n].append(a)
-    return table
-
-
 def _divisors(n: int) -> list[int]:
-    if n <= _DIVISOR_TABLE_LIMIT:
-        return _divisor_table(_DIVISOR_TABLE_LIMIT)[n]
     divs = []
     for a in range(1, math.isqrt(n) + 1):
         if n % a == 0:

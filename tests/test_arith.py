@@ -43,6 +43,17 @@ def test_is_prime_large_known():
     assert not is_prime(999983 * 999979)
 
 
+def test_is_prime_rejects_strong_pseudoprimes():
+    # below 2^64: a strong pseudoprime to every fixed base but 37
+    assert not is_prime(3825123056546413051)
+    # above 2^64: strong pseudoprimes to all twelve fixed bases, so only
+    # the seeded random bases can expose them
+    assert not is_prime(318665857834031151167461)
+    assert not is_prime(3317044064679887385961981)
+    assert is_prime(2**89 - 1)
+    assert is_prime(2**127 - 1)
+
+
 def test_jacobi_known_values():
     assert jacobi(2, 15) == 1
     assert jacobi(1001, 9907) == -1

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -7,6 +8,7 @@ from unitindex.construction import (
     MODE_SPLIT,
     Decomposition,
     TernarySolution,
+    _solutions,
     find_decomposition,
     normalize_solution,
     solve_legendre,
@@ -19,6 +21,7 @@ from unitindex.errors import (
     NotSplit,
     PreconditionViolated,
 )
+from unitindex.criterion import evaluate
 from unitindex.quadfield import PellUnit, pell_negative_unit
 from unitindex.redei import ordered_factors, redei_rank4
 from unitindex.symbols import INFINITY, fpr
@@ -274,3 +277,54 @@ def test_search_budget_is_enforced(monkeypatch):
     with pytest.raises(HeightExceeded):
         for _ in cons._solutions(1, -13, -3):
             pass
+
+
+def _brute_force_zeros(c1, c2, c3, x_max):
+    # every primitive nonnegative zero with 1 <= x <= x_max, found by
+    # running over y whatever the coefficient sizes, sorted afterwards
+    out = []
+    for x in range(1, x_max + 1):
+        for y in range(math.isqrt(c1 * x * x // -c2) + 1):
+            rem = c1 * x * x + c2 * y * y
+            if rem % -c3:
+                continue
+            z = math.isqrt(rem // -c3)
+            if z * z == rem // -c3 and math.gcd(math.gcd(x, y), z) == 1:
+                out.append((x, y, z))
+    return sorted(out, key=lambda sol: (sol[0], sol[2], sol[1]))
+
+
+def test_solutions_stream_matches_brute_force_listing():
+    # odd coefficients, the dyadic 8 of split_generator, and both orders
+    # of |c2| against |c3|; the stream must list exactly the zeros with
+    # x <= x_max, in order, before it moves past x_max
+    x_max = 40
+    compared = 0
+    for c1 in (1, 5, 13, 29, 37):
+        for c2, c3 in itertools.permutations((-1, -3, -5, -8, -13, -17), 2):
+            want = _brute_force_zeros(c1, c2, c3, x_max)
+            try:
+                got = list(itertools.islice(_solutions(c1, c2, c3), len(want) + 1))
+            except LocalObstruction:
+                assert want == [], (c1, c2, c3)
+                continue
+            assert got[: len(want)] == want, (c1, c2, c3)
+            assert got[len(want)][0] > x_max, (c1, c2, c3)
+            compared += 1
+    assert compared > 50
+
+
+def test_solve_legendre_finds_near_solution_of_large_box():
+    # both lie in Holzer boxes costing more than the search budget, yet
+    # have a solution at small x
+    for c1, c2, c3 in ((1000193, -2405, -493), (1500241, -1885, -629)):
+        x, y, z = solve_legendre(c1, c2, c3)
+        assert c1 * x * x + c2 * y * y + c3 * z * z == 0
+        assert math.gcd(math.gcd(x, y), z) == 1 and x > 0
+
+
+def test_construction_check_clean_on_large_boxes():
+    for p, q in ((1000193, 2), (1500241, 1)):
+        v = evaluate(1185665, p, construction_check=True)
+        assert v.alarms == (), (p, v.alarms)
+        assert (v.q_direct, v.q_governing) == (q, q)

@@ -129,6 +129,15 @@ def test_checkpoint_refuses_other_scan(tmp_path):
         scan(65, 2000, checkpoint=ck)
 
 
+def test_checkpoint_refuses_other_sampling_seed(tmp_path):
+    # the seed picks which primes get the construction check
+    ck = str(tmp_path / "scan.log")
+    scan(65, 1000, checkpoint=ck, seed=0)
+    with pytest.raises(PreconditionViolated, match="refusing to mix"):
+        scan(65, 1000, checkpoint=ck, seed=1)
+    scan(65, 1000, checkpoint=ck, seed=1 << 32)  # same low 32 bits as 0
+
+
 def test_checkpoint_rejects_foreign_file(tmp_path):
     ck = tmp_path / "not-a-log"
     ck.write_bytes(b"p,m,in_P\n37,0,1\n")
