@@ -12,10 +12,8 @@ from dataclasses import dataclass
 
 from .errors import CompositeResidualFactor, NoSquareRoot, NotSquarefree, PreconditionViolated
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 # Witnesses proving compositeness for every composite below 3.3 * 10^24,
-# comfortably past 2^64.
+# comfortably past 2^64; is_prime also trial-divides by them first.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -24,7 +22,7 @@ def is_prime(n: int) -> bool:
     and 24 bases drawn from random.Random(n) above."""
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1

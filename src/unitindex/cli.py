@@ -48,11 +48,7 @@ def read_config(path: str) -> dict:
 
 def build_config(args: argparse.Namespace) -> ScanConfig:
     settings = read_config(args.config) if args.config else {}
-    for key in ("d", "X", "workers", "seed"):
-        flag = getattr(args, key)
-        if flag is not None:
-            settings[key] = flag
-    for key in ("m", "out", "format", "checkpoint"):
+    for key in _CONFIG_KEYS:
         flag = getattr(args, key)
         if flag is not None:
             settings[key] = flag
@@ -64,20 +60,11 @@ def build_config(args: argparse.Namespace) -> ScanConfig:
                 raise PreconditionViolated(f"{key} must be an integer, got {settings[key]!r}")
     if "d" not in settings or "X" not in settings:
         raise PreconditionViolated("both d and X are required (flags or config file)")
-    m_filter = None
-    if "m" in settings:
-        raw = settings["m"]
-        m_filter = raw if isinstance(raw, frozenset) else _parse_m_filter(str(raw))
-    return ScanConfig(
-        d=settings["d"],
-        X=settings["X"],
-        m_filter=m_filter,
-        workers=settings.get("workers", 1),
-        out=settings.get("out"),
-        fmt=settings.get("format", "csv"),
-        checkpoint=settings.get("checkpoint"),
-        seed=settings.get("seed", 0),
-    )
+    # the remaining keys are ScanConfig fields; it holds their defaults
+    m_filter = settings.pop("m", None)
+    if isinstance(m_filter, str):
+        m_filter = _parse_m_filter(m_filter)
+    return ScanConfig(m_filter=m_filter, fmt=settings.pop("format", "csv"), **settings)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -102,10 +89,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = build_config(args)
         summary, records = run_scan(cfg)
-    except PreconditionViolated as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (PreconditionViolated, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

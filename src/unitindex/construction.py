@@ -86,32 +86,23 @@ class Decomposition:
 def _check_local_solvability(c1: int, c2: int, c3: int) -> None:
     u = -c1 * c2
     v = -c1 * c3
-    odd: set[int] = set()
+    # every prime dividing a coefficient, by one trial division each; one
+    # that divides every coefficient to an even power has symbol 1
+    places: set[int] = set()
     for c in (c1, c2, c3):
-        core = _squarefree_kernel(abs(c))
-        if core > 1:
-            odd.update(q for q in factor_squarefree(core).factors if q % 2)
+        n, q = abs(c), 2
+        while q * q <= n:
+            if n % q == 0:
+                places.add(q)
+                while n % q == 0:
+                    n //= q
+            q += 1
+        places.add(n)
     # odd places first: a failure comes in pairs by the product formula,
     # and the odd member is the one a descent argument names
-    for r in sorted(odd) + [2]:
+    for r in sorted(places - {1, 2}) + [2]:
         if hilbert(u, v, r) != 1:
             raise LocalObstruction(r)
-
-
-def _squarefree_kernel(n: int) -> int:
-    # strip square factors so factor_squarefree accepts the value
-    out = 1
-    q = 2
-    while q * q <= n:
-        if n % q == 0:
-            e = 0
-            while n % q == 0:
-                n //= q
-                e += 1
-            if e % 2:
-                out *= q
-        q += 1
-    return out * n
 
 
 def _solutions(c1: int, c2: int, c3: int) -> Iterator[tuple[int, int, int]]:

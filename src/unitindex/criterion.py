@@ -10,12 +10,14 @@ agree on every evaluated prime; evaluate() records a disagreement as an
 alarm instead of picking a side.
 
 Facts that depend on p only through its split set (membership, the
-structure tuple, the splitting d = a*b) live in a per-d DContext, so a
-scan computes each of them once per split set rather than once per prime.
+structure tuple, the splitting d = a*b and its cross sign) live in a per-d
+DContext, computed once per split set.  p is proven prime in _classify and
+d's factors by factor_squarefree, so the routes call unchecked kernels.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .arith import SquarefreeD, factor_squarefree, is_prime
@@ -30,7 +32,7 @@ from .construction import (
     totally_real,
 )
 from .errors import OutOfScopeM, PreconditionViolated, UnitIndexError
-from .gaussian import GaussInt, quad_symbol, split_primary
+from .gaussian import GaussInt, _quad_symbol, _split_primary, split_primary
 from .quadfield import pell_negative_unit
 from .redei import (
     extended_residue_matrix,
@@ -38,7 +40,7 @@ from .redei import (
     rank_and_kernel,
     redei_rank4,
 )
-from .symbols import fpr, fpr_product, quartic_cross_product
+from .symbols import _fpr, quartic_cross_product
 
 
 @dataclass(frozen=True)
@@ -119,14 +121,17 @@ class DContext:
     The split set S of a prime p is the tuple of factors of d that split in
     Q(sqrt(p)).  By Redei's matrix argument the composite 4-rank of d*p,
     hence membership and the structure tuple, and the splitting d = a*b
-    that find_decomposition picks depend on p only through S.  Each entry
-    is filled by those per-prime definitions at the first p with its S and
-    reused for every later one; a fill that raises stores nothing.
+    that find_decomposition picks, with its quartic_cross_product sign,
+    depend on p only through S.  Each entry is filled by those per-prime
+    definitions at the first p with its S and reused for every later one;
+    a fill that raises stores nothing.  So are the primes over d's factors.
     """
 
     sd: SquarefreeD
     _membership: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _decompositions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cross: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _primaries: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def membership(self, split: tuple[int, ...], p: int) -> tuple[int, tuple | None]:
         """Composite 4-rank of d*p and the predicted (rk2, rk4, rk8, h_plus)
@@ -145,6 +150,25 @@ class DContext:
             dec = self._decompositions[split] = find_decomposition(self.sd, p)
         return dec
 
+    def cross(self, dec: Decomposition, flip: bool) -> int:
+        """Quartic cross sign of a decomposition, in the ``flip`` labeling."""
+        sign = self._cross.get((dec.a, flip))
+        if sign is None:
+            sign = self._cross[dec.a, flip] = quartic_cross_product(dec.a, dec.b, conjugate=flip)
+        return sign
+
+    def primary(self, n: int, flip: bool) -> GaussInt:
+        """The primary prime over a factor n of d, or for n = d the product
+        of those over every factor; the flipped labeling is the conjugate."""
+        rho = self._primaries.get(n)
+        if rho is None:
+            if n in self.sd.factors:
+                rho = split_primary(n)
+            else:
+                rho = math.prod((self.primary(q, False) for q in self.sd.factors), start=GaussInt(1, 0))
+            self._primaries[n] = rho
+        return rho.conjugate() if flip else rho
+
 
 def _context(d: int | SquarefreeD | DContext) -> DContext:
     if isinstance(d, DContext):
@@ -153,13 +177,13 @@ def _context(d: int | SquarefreeD | DContext) -> DContext:
 
 
 def _classify(ctx: DContext, p: int) -> tuple[PrimeVerdict, tuple[int, ...]]:
-    """The one per-prime pass: classify() plus the split set of p."""
-    if not is_prime(p):
-        raise PreconditionViolated(f"{p} is not prime")
-    if ctx.sd.d % p == 0:
-        return PrimeVerdict(p=p, m=None, in_P=False, reason="p divides d"), ()
-    if p % 4 != 1:
-        return PrimeVerdict(p=p, m=None, in_P=False, reason="p = 3 (mod 4)"), ()
+    """The one per-prime pass: classify() plus the split set of p.  p is
+    proven prime once: here if rejected early, else by ordered_factors."""
+    if p < 2 or ctx.sd.d % p == 0 or p % 4 != 1:
+        if not is_prime(p):
+            raise PreconditionViolated(f"{p} is not prime")
+        reason = "p divides d" if ctx.sd.d % p == 0 else "p = 3 (mod 4)"
+        return PrimeVerdict(p=p, m=None, in_P=False, reason=reason), ()
     split, _ = ordered_factors(ctx.sd, p)
     m = len(split)
     r4, structure = ctx.membership(split, p)
@@ -201,7 +225,7 @@ def classify(d: int | SquarefreeD, p: int) -> PrimeVerdict:
 
 
 def _e_real(p: int, split: tuple[int, ...]) -> bool:
-    return all(fpr(p, q) * fpr(q, p) == 1 for q in split)
+    return all(_fpr(p, q) * _fpr(q, p) == 1 for q in split)
 
 
 def e_totally_real(d: int | SquarefreeD, p: int) -> bool:
@@ -222,27 +246,20 @@ def _direct_index(ctx: DContext, p: int, split: tuple[int, ...], e_real: bool) -
     if len(split) == ctx.sd.t - 1:
         return 2 if e_real else 1
     dec = ctx.decomposition(split, p)
-    a_factors = tuple(q for q, e in zip(dec.factors, dec.exponents) if e)
-    b_factors = tuple(q for q, e in zip(dec.factors, dec.exponents) if not e)
-    sign = (
-        fpr(ctx.sd.d, p)
-        * fpr_product(dec.a * p, b_factors)
-        * fpr_product(dec.b * p, a_factors)
-    )
+    sign = _fpr(ctx.sd.d, p)
+    for q, e in zip(dec.factors, dec.exponents):
+        # q divides a (e = 1) or b, and meets the other half times p
+        sign *= _fpr((dec.b if e else dec.a) * p, q)
     return 2 if e_real and sign == -1 else 1
 
 
 def _governing_index(ctx: DContext, p: int, split: tuple[int, ...], flip: bool) -> int:
-    pi = split_primary(p, flip=flip)
-    e_real = all(quad_symbol(split_primary(q, flip=flip), pi) == 1 for q in split)
+    pi = _split_primary(p, flip)
+    e_real = all(_quad_symbol(ctx.primary(q, flip), pi) == 1 for q in split)
     if len(split) == ctx.sd.t - 1:
         return 2 if e_real else 1
     dec = ctx.decomposition(split, p)
-    product = GaussInt(1, 0)
-    for q in ctx.sd.factors:
-        product = product * split_primary(q, flip=flip)
-    cross = quartic_cross_product(dec.a, dec.b, conjugate=flip)
-    deeper_real = quad_symbol(product, pi) == -cross
+    deeper_real = _quad_symbol(ctx.primary(ctx.sd.d, flip), pi) == -ctx.cross(dec, flip)
     return 2 if e_real and deeper_real else 1
 
 

@@ -16,6 +16,7 @@ import io
 import json
 import os
 import struct
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from multiprocessing import get_context
 
@@ -140,9 +141,7 @@ def _scan_chunk(args: tuple[int, int, int, int]) -> list[dict]:
 
 
 def _chunk_ranges(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
-    if hi < lo:
-        return []
-    pieces = max(workers * 4, 1)
+    pieces = workers * 4
     span = max((hi - lo) // pieces + 1, 1000)
     ranges = []
     a = lo
@@ -258,18 +257,12 @@ def run_scan(cfg: ScanConfig) -> tuple[DensitySummary, list[dict]]:
     ranges = _chunk_ranges(lo, cfg.X, cfg.workers)
     args = [(cfg.d, a, b, cfg.seed) for a, b in ranges]
 
-    if cfg.workers == 1 or len(args) <= 1:
-        chunks = map(_scan_chunk, args)
-        for chunk in chunks:
+    pool = get_context("fork").Pool(cfg.workers) if cfg.workers > 1 and len(args) > 1 else None
+    with pool or nullcontext():
+        for chunk in (pool.imap if pool else map)(_scan_chunk, args):
             records.extend(chunk)
             if log:
                 log.append(chunk)
-    else:
-        with get_context("fork").Pool(cfg.workers) as pool:
-            for chunk in pool.imap(_scan_chunk, args):
-                records.extend(chunk)
-                if log:
-                    log.append(chunk)
 
     if cfg.m_filter is not None:
         records = [r for r in records if r["m"] in cfg.m_filter]

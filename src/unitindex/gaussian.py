@@ -78,6 +78,11 @@ def split_primary(p: int, flip: bool = False) -> GaussInt:
         raise PreconditionViolated(f"{p} is not prime")
     if p % 4 != 1:
         raise NotSplit(f"{p} = 3 (mod 4) stays prime in Z[i]")
+    return _split_primary(p, flip)
+
+
+def _split_primary(p: int, flip: bool) -> GaussInt:
+    """split_primary() for a prime p = 1 (mod 4) the caller has already proven."""
     # Cornacchia: descend from a square root of -1.
     r = sqrt_mod(p - 1, p)
     a, b = p, r
@@ -85,13 +90,10 @@ def split_primary(p: int, flip: bool = False) -> GaussInt:
         a, b = b, a % b
     x, y = b, a % b
     assert x * x + y * y == p
-    want = -1 if flip else 1
-    for re, im in ((x, y), (y, x)):
-        for sr in (re, -re):
-            for si in (im, -im):
-                if sr % 2 == 1 and si % 2 == 0 and (sr + si) % 4 == 1 and si * want > 0:
-                    return GaussInt(sr, si)
-    raise PreconditionViolated(f"no primary root above {p}")  # pragma: no cover
+    # x, y > 0; the odd one is re, and its sign makes re + im = 1 (mod 4)
+    re, im = (x, y) if x % 2 else (y, x)
+    im = -im if flip else im
+    return GaussInt(re if (re + im) % 4 == 1 else -re, im)
 
 
 def embedding_of_i(pi: GaussInt) -> int:
@@ -118,13 +120,7 @@ def quartic_symbol(alpha: GaussInt | int, pi: GaussInt) -> QuarticValue:
         raise PreconditionViolated(f"N({pi}) = {p} is not prime")
     if p % 4 != 1:
         raise PreconditionViolated(f"N({pi}) = {p} is not 1 (mod 4)")
-    s = embedding_of_i(pi)
-    if isinstance(alpha, int):
-        val = alpha % p
-    else:
-        val = (alpha.re + alpha.im * s) % p
-    if val == 0:
-        raise NotCoprime(f"{alpha} lies in the ideal ({pi})")
+    val, _, s = _residue(alpha, pi)
     c = pow(val, (p - 1) // 4, p)
     table = {1: 0, s: 1, p - 1: 2, p - s: 3}
     if c not in table:
@@ -137,11 +133,20 @@ def quad_symbol(alpha: GaussInt | int, pi: GaussInt) -> int:
     p = pi.norm()
     if not is_prime(p) or p % 2 == 0:
         raise PreconditionViolated(f"N({pi}) = {p} is not an odd prime")
+    return _quad_symbol(alpha, pi)
+
+
+def _quad_symbol(alpha: GaussInt | int, pi: GaussInt) -> int:
+    """quad_symbol() for a pi whose norm the caller has already proven an odd prime."""
+    val, p, _ = _residue(alpha, pi)
+    return 1 if pow(val, (p - 1) // 2, p) == 1 else -1
+
+
+def _residue(alpha: GaussInt | int, pi: GaussInt) -> tuple[int, int, int]:
+    """alpha mod pi in F_p, p = N(pi), then p and the image of i there."""
     s = embedding_of_i(pi)
-    if isinstance(alpha, int):
-        val = alpha % p
-    else:
-        val = (alpha.re + alpha.im * s) % p
+    p = pi.norm()
+    val = alpha % p if isinstance(alpha, int) else (alpha.re + alpha.im * s) % p
     if val == 0:
         raise NotCoprime(f"{alpha} lies in the ideal ({pi})")
-    return 1 if pow(val, (p - 1) // 2, p) == 1 else -1
+    return val, p, s

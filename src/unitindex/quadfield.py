@@ -82,7 +82,11 @@ def pell_negative_unit(p: int) -> PellUnit:
     k_prev, k = 0, 1
     m, den = 0, 1
     for _ in range(_PELL_ITERATION_CAP):
-        if h * h - p * k * k == -1:
+        m = den * ((a0 + m) // den) - m
+        den = (p - m * m) // den
+        # h^2 - p*k^2 = +-den, so den = 1 ends the period of sqrt(p); the
+        # period is odd for prime p = 1 (mod 4), so that norm is -1
+        if den == 1:
             u, v = h, k
             if (v - u) % 4 != 1:
                 v = -v
@@ -92,8 +96,6 @@ def pell_negative_unit(p: int) -> PellUnit:
             expected = (0, 1) if p % 8 == 1 else (2, 3)
             assert (u % 4, v % 4) == expected
             return unit
-        m = den * ((a0 + m) // den) - m
-        den = (p - m * m) // den
         a = (a0 + m) // den
         h_prev, h = h, a * h + h_prev
         k_prev, k = k, a * k + k_prev
@@ -106,13 +108,18 @@ def splitting(q: int, p: int) -> str:
         raise PreconditionViolated("q = p is the ramified prime over p itself")
     if not is_prime(q) or not is_prime(p):
         raise PreconditionViolated(f"need distinct primes, got q={q}, p={p}")
+    return _splitting(q, p)
+
+
+def _splitting(q: int, p: int) -> str:
+    """splitting() for primes the caller has already proven; q = p ramifies."""
     if q == 2:
         if p % 8 == 1:
             return SPLIT
         if p % 8 == 5:
             return INERT
         return RAMIFIED
-    return SPLIT if jacobi(p, q) == 1 else INERT
+    return {1: SPLIT, -1: INERT}.get(jacobi(p, q), RAMIFIED)
 
 
 def residue_symbol(alpha: KpElement, q: int, which: str = FIRST, flip_root: bool = False) -> int:

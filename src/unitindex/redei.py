@@ -14,9 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import SquarefreeD, factor_squarefree, jacobi, kronecker, sqrt_mod
+from .arith import SquarefreeD, factor_squarefree, is_prime, jacobi, kronecker, sqrt_mod
 from .errors import NotCoprime, PreconditionViolated, TheoryViolation
-from .quadfield import CONJUGATE, FIRST, INERT, RAMIFIED, SPLIT, KpElement, residue_symbol, splitting
+from .quadfield import CONJUGATE, FIRST, RAMIFIED, SPLIT, KpElement, _splitting, residue_symbol
 
 
 @dataclass(frozen=True)
@@ -108,11 +108,14 @@ def redei_rank4(D: int | SquarefreeD) -> int:
 
 
 def ordered_factors(sd: SquarefreeD, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Factors of d split in Q(sqrt(p)) first, then the inert ones."""
+    """Factors of d split in Q(sqrt(p)) first, then the inert ones.  p is
+    proven prime here; the factors of sd are trusted (factor_squarefree)."""
+    if not is_prime(p):
+        raise PreconditionViolated(f"{p} is not prime")
     split = []
     inert = []
     for q in sd.factors:
-        kind = splitting(q, p)
+        kind = _splitting(q, p)
         if kind == RAMIFIED:
             raise PreconditionViolated(f"{q} ramifies in Q(sqrt({p}))")
         (split if kind == SPLIT else inert).append(q)

@@ -31,23 +31,24 @@ def fpr(a: int, ell) -> int:
         raise PreconditionViolated("fourth-power indicator has no archimedean component")
     if not isinstance(ell, int) or ell < 2:
         raise PreconditionViolated(f"modulus must be an integer >= 2, got {ell!r}")
+    if ell == 2 or is_prime(ell):
+        return _fpr(a, ell)
+    return fpr_product(a, factor_squarefree(ell).factors)
+
+
+def _fpr(a: int, ell: int) -> int:
+    """fpr() at a modulus the caller has already proven prime."""
     if ell == 2:
         if a % 8 != 1:
             raise PreconditionViolated(f"{a} is not 1 (mod 8)")
         return 1 if a % 16 == 1 else -1
-    if is_prime(ell):
-        return _fpr_odd_prime(a, ell)
-    return fpr_product(a, factor_squarefree(ell).factors)
-
-
-def _fpr_odd_prime(a: int, ell: int) -> int:
-    a %= ell
-    if a == 0:
+    r = a % ell
+    if r == 0:
         raise NotCoprime(f"{a} is divisible by {ell}")
-    if jacobi(a, ell) != 1:
-        raise PreconditionViolated(f"{a} is not a square mod {ell}")
+    if jacobi(r, ell) != 1:
+        raise PreconditionViolated(f"{r} is not a square mod {ell}")
     e = (ell - 1) // math.gcd(ell - 1, 4)
-    return 1 if pow(a, e, ell) == 1 else -1
+    return 1 if pow(r, e, ell) == 1 else -1
 
 
 def fpr_product(a: int, moduli) -> int:

@@ -168,6 +168,17 @@ def test_factor_squarefree_semiprime():
     assert sd.factors == (q, p)
 
 
+def test_factor_squarefree_rho_path():
+    # every factor lies past the 10^6 trial-division bound
+    p, q, r = 1000033, 1000037, 1000081
+    assert factor_squarefree(p * q).factors == (p, q)
+    sd = factor_squarefree(5 * p * q * r)
+    assert sd.factors == (5, p, q, r)
+    assert sd.d == 5 * p * q * r
+    with pytest.raises(NotSquarefree):
+        factor_squarefree(p * p)
+
+
 def test_admissible_flag():
     assert factor_squarefree(65).admissible
     assert factor_squarefree(10).admissible

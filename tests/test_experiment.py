@@ -1,11 +1,14 @@
+import importlib
 import json
 import math
 import os
+import pkgutil
 import struct
 
 import pytest
 
-from unitindex import criterion, experiment
+import unitindex
+from unitindex import arith, criterion, experiment
 from unitindex.arith import primes_in_range
 from unitindex.errors import PreconditionViolated
 from unitindex.experiment import (
@@ -231,26 +234,37 @@ def test_construction_sample_share_is_about_one_in_64_for_every_seed():
 def test_scan_splits_each_prime_once_and_fills_tables_per_split_set(monkeypatch):
     # counted at the names criterion calls; find_decomposition's own
     # internal split happens inside the bounded table fills
-    calls = {"ordered_factors": 0, "redei_rank4": 0, "find_decomposition": 0}
+    calls = {
+        "ordered_factors": 0,
+        "redei_rank4": 0,
+        "find_decomposition": 0,
+        "quartic_cross_product": 0,
+        "split_primary": 0,
+    }
+    tabled = ("redei_rank4", "find_decomposition", "quartic_cross_product", "split_primary")
+    factors = (5, 13, 17)
     per_chunk = []
 
     def counting(module, name):
         inner = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            # split_primary counts only on the factors of d: their primes
+            # belong to the context, the prime over p to each candidate
+            if name != "split_primary" or args[0] in factors:
+                calls[name] += 1
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("ordered_factors", "redei_rank4", "find_decomposition"):
+    for name in calls:
         counting(criterion, name)
     chunk = experiment._scan_chunk
 
     def counting_chunk(args):
         before = dict(calls)
         out = chunk(args)
-        per_chunk.append({k: calls[k] - before[k] for k in ("redei_rank4", "find_decomposition")})
+        per_chunk.append({k: calls[k] - before[k] for k in tabled})
         return out
 
     monkeypatch.setattr(experiment, "_scan_chunk", counting_chunk)
@@ -260,3 +274,27 @@ def test_scan_splits_each_prime_once_and_fills_tables_per_split_set(monkeypatch)
     for counts in per_chunk:
         assert 0 < counts["redei_rank4"] <= 1 << 3
         assert counts["find_decomposition"] <= 1 << 3
+        assert 0 < counts["quartic_cross_product"] <= 1 << 3
+        assert 0 < counts["split_primary"] <= len(factors)
+
+
+def test_scan_proves_each_prime_about_once(monkeypatch):
+    # counted at every module that binds is_prime, so no caller is missed;
+    # what remains above one call per candidate is the per-chunk table fills
+    # and the sampled construction checks
+    calls = [0]
+    inner = arith.is_prime
+
+    def counting(n):
+        calls[0] += 1
+        return inner(n)
+
+    for info in pkgutil.iter_modules(unitindex.__path__):
+        module = importlib.import_module(f"unitindex.{info.name}")
+        if getattr(module, "is_prime", None) is inner:
+            monkeypatch.setattr(module, "is_prime", counting)
+    for d in (65, 2371330):
+        calls[0] = 0
+        _, records = scan(d, 20000, workers=1)
+        assert len(records) > 1000
+        assert calls[0] < 2.5 * len(records), (d, calls[0], len(records))

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -37,6 +38,30 @@ def test_pell_invariants_exhaustive():
             assert (unit.u % 4, unit.v % 4) == (0, 1)
         else:
             assert (unit.u % 4, unit.v % 4) == (2, 3)
+
+
+def _pell_by_norm(p):
+    """First convergent of sqrt(p) with norm -1, testing the norm at every step."""
+    a0 = math.isqrt(p)
+    h_prev, h, k_prev, k = 1, a0, 0, 1
+    m, den = 0, 1
+    while h * h - p * k * k != -1:
+        m = den * ((a0 + m) // den) - m
+        den = (p - m * m) // den
+        a = (a0 + m) // den
+        h_prev, h = h, a * h + h_prev
+        k_prev, k = k, a * k + k_prev
+    return h, k
+
+
+def test_pell_period_end_matches_per_step_norm():
+    for p in primes_in_range(5, 2 * 10**4):
+        if p % 4 == 1:
+            unit = pell_negative_unit(p)
+            assert (unit.u, abs(unit.v)) == _pell_by_norm(p), p
+    unit = pell_negative_unit(10000253)
+    assert unit.norm() == -1
+    assert (unit.u, abs(unit.v)) == _pell_by_norm(10000253)
 
 
 def test_pell_is_fundamental():
