@@ -6,6 +6,8 @@ fallback rho factorizer (its parameters are derived from the input).
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -15,11 +17,17 @@ from .errors import CompositeResidualFactor, NoSquareRoot, NotSquarefree, Precon
 # Witnesses proving compositeness for every composite below 3.3 * 10^24,
 # comfortably past 2^64; is_prime also trial-divides by them first.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# OEIS A014233: the least strong pseudoprime to the first k of these bases,
+# k = 1..11 (Jaeschke, Math. Comp. 61, 1993); below the k-th, k bases prove n
+_MR_BOUNDS = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+    341550071728321, 3825123056546413051, 3825123056546413051, 3825123056546413051,
+)
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin: the fixed bases below 2^64, where it is deterministic,
-    and 24 bases drawn from random.Random(n) above."""
+    """Miller-Rabin: below 2^64 as many fixed bases as n needs to be
+    deterministic, above it 24 bases drawn from random.Random(n)."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -31,7 +39,7 @@ def is_prime(n: int) -> bool:
         d //= 2
         s += 1
     if n < 1 << 64:
-        bases = _MR_BASES
+        bases = _MR_BASES[: bisect.bisect_right(_MR_BOUNDS, n) + 1]
     else:
         rng = random.Random(n)
         bases = (rng.randrange(2, n - 1) for _ in range(24))
@@ -127,24 +135,15 @@ def primes_in_range(lo: int, hi: int):
     lo = max(lo, 2)
     if hi < lo:
         return
-    root = math.isqrt(hi)
-    base = _sieve_upto(root)
+    base = _sieve_upto(math.isqrt(hi))
     segment = 1 << 17
-    start = lo
-    while start <= hi:
+    for start in range(lo, hi + 1, segment):
         end = min(start + segment - 1, hi)
-        size = end - start + 1
-        flags = bytearray([1]) * size
+        flags = bytearray([1]) * (end - start + 1)
         for p in base:
             first = max(p * p, (start + p - 1) // p * p)
-            for multiple in range(first, end + 1, p):
-                flags[multiple - start] = 0
-        for offset in range(size):
-            if flags[offset]:
-                n = start + offset
-                if n >= 2:
-                    yield n
-        start = end + 1
+            flags[first - start :: p] = bytes(len(range(first, end + 1, p)))
+        yield from itertools.compress(range(start, end + 1), flags)
 
 
 def _sieve_upto(n: int) -> list[int]:
@@ -154,8 +153,8 @@ def _sieve_upto(n: int) -> list[int]:
     flags[0] = flags[1] = 0
     for p in range(2, math.isqrt(n) + 1):
         if flags[p]:
-            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return [i for i in range(2, n + 1) if flags[i]]
+            flags[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return list(itertools.compress(range(n + 1), flags))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ d's factors by factor_squarefree, so the routes call unchecked kernels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .arith import SquarefreeD, factor_squarefree, is_prime
 from .construction import (
@@ -176,41 +176,42 @@ def _context(d: int | SquarefreeD | DContext) -> DContext:
     return DContext(d if isinstance(d, SquarefreeD) else factor_squarefree(d))
 
 
-def _classify(ctx: DContext, p: int) -> tuple[PrimeVerdict, tuple[int, ...]]:
-    """The one per-prime pass: classify() plus the split set of p.  p is
-    proven prime once: here if rejected early, else by ordered_factors."""
+def _classify(ctx: DContext, p: int) -> tuple[dict, tuple[int, ...]]:
+    """The one per-prime pass: the PrimeVerdict fields of classify() (reason
+    absent when empty) plus the split set of p.  p is proven prime once:
+    here if rejected early, else by ordered_factors."""
     if p < 2 or ctx.sd.d % p == 0 or p % 4 != 1:
         if not is_prime(p):
             raise PreconditionViolated(f"{p} is not prime")
         reason = "p divides d" if ctx.sd.d % p == 0 else "p = 3 (mod 4)"
-        return PrimeVerdict(p=p, m=None, in_P=False, reason=reason), ()
+        return {"p": p, "m": None, "in_P": False, "reason": reason}, ()
     split, _ = ordered_factors(ctx.sd, p)
     m = len(split)
     r4, structure = ctx.membership(split, p)
     if r4 != 0:
-        verdict = PrimeVerdict(p=p, m=m, in_P=False, reason=f"composite 4-rank is {r4}")
+        fields = {"in_P": False, "reason": f"composite 4-rank is {r4}"}
     elif m == ctx.sd.t:
-        verdict = PrimeVerdict(p=p, m=m, in_P=True, reason="every factor splits; out of family")
+        fields = {"in_P": True, "reason": "every factor splits; out of family"}
     else:
-        verdict = PrimeVerdict(p=p, m=m, in_P=True, structure=structure)
-    return verdict, split
+        fields = {"in_P": True, "structure": structure}
+    return {"p": p, "m": m, **fields}, split
 
 
-def _member(ctx: DContext, p: int, scope) -> tuple[PrimeVerdict, tuple[int, ...]]:
+def _member(ctx: DContext, p: int, scope) -> tuple[dict, tuple[int, ...]]:
     """_classify() for a member p whose split count m lies in ``scope``.
 
     Scope is checked before membership, so an out-of-scope m raises
     OutOfScopeM even when p is not in the family either.
     """
-    verdict, split = _classify(ctx, p)
-    sd = ctx.sd
-    if verdict.m is None:
+    fields, split = _classify(ctx, p)
+    sd, m = ctx.sd, fields["m"]
+    if m is None:
         raise PreconditionViolated(f"{p} is not a candidate prime for d = {sd.d}")
-    if verdict.m not in scope:
-        raise OutOfScopeM(f"m = {verdict.m} with t = {sd.t} is outside m in {sorted(scope)}")
-    if not verdict.in_P:
-        raise PreconditionViolated(f"p = {p} is not in the family for d = {sd.d}: {verdict.reason}")
-    return verdict, split
+    if m not in scope:
+        raise OutOfScopeM(f"m = {m} with t = {sd.t} is outside m in {sorted(scope)}")
+    if not fields["in_P"]:
+        raise PreconditionViolated(f"p = {p} is not in the family for d = {sd.d}: {fields['reason']}")
+    return fields, split
 
 
 def classify(d: int | SquarefreeD, p: int) -> PrimeVerdict:
@@ -220,8 +221,8 @@ def classify(d: int | SquarefreeD, p: int) -> PrimeVerdict:
     4-rank of the composite discriminant d*p.  Members with every factor
     split (m = t) are flagged in ``reason`` and never evaluated further.
     """
-    verdict, _ = _classify(_context(d), p)
-    return verdict
+    fields, _ = _classify(_context(d), p)
+    return PrimeVerdict(**fields)
 
 
 def _e_real(p: int, split: tuple[int, ...]) -> bool:
@@ -236,8 +237,8 @@ def e_totally_real(d: int | SquarefreeD, p: int) -> bool:
     p = 1 (mod 8), which is what fpr(p, 2) needs.
     """
     ctx = _context(d)
-    verdict, split = _classify(ctx, p)
-    if verdict.m is None:
+    fields, split = _classify(ctx, p)
+    if fields["m"] is None:
         raise PreconditionViolated(f"{p} is not a candidate prime for d = {ctx.sd.d}")
     return _e_real(p, split)
 
@@ -303,13 +304,13 @@ def predicted_structure(d: int | SquarefreeD, p: int) -> StructurePrediction:
     if t < 2:
         raise PreconditionViolated("structure formulas need at least two factors in d")
     # every factor split (m = t) asserts no structure
-    verdict, split = _member(ctx, p, range(t))
-    if verdict.m in (t - 1, t - 2):
+    fields, split = _member(ctx, p, range(t))
+    if fields["m"] in (t - 1, t - 2):
         q = _direct_index(ctx, p, split, _e_real(p, split))
         h, q_range = q << (2 * t - 3), (q,)
     else:
         h, q_range = None, (1, 2)
-    return StructurePrediction(*verdict.structure, h=h, q_range=q_range)
+    return StructurePrediction(*fields["structure"], h=h, q_range=q_range)
 
 
 def _construction_real(sd: SquarefreeD, p: int, dec: Decomposition) -> bool:
@@ -331,18 +332,17 @@ def evaluate(d: int | SquarefreeD | DContext, p: int, construction_check: bool =
     """
     ctx = _context(d)
     sd = ctx.sd
-    verdict, split = _classify(ctx, p)
-    if verdict.m is None:
-        return verdict
+    fields, split = _classify(ctx, p)
+    m = fields["m"]
+    if m is None:
+        return PrimeVerdict(**fields)
     # E-reality is a property of (d, p) alone; record it even when the
     # 4-rank filter rejects p, so density denominators are the full m-cell
     e_real = _e_real(p, split)
-    m = verdict.m
-    reason = verdict.reason
-    if not verdict.in_P or m not in (sd.t - 1, sd.t - 2):
-        if verdict.in_P and m < sd.t - 2:
-            reason = "index not asserted for m <= t-3"
-        return replace(verdict, reason=reason, e_totally_real=e_real)
+    if not fields["in_P"] or m not in (sd.t - 1, sd.t - 2):
+        if fields["in_P"] and m < sd.t - 2:
+            fields["reason"] = "index not asserted for m <= t-3"
+        return PrimeVerdict(**fields, e_totally_real=e_real)
 
     alarms: list[str] = []
     q_direct: int | None = None
@@ -357,7 +357,7 @@ def evaluate(d: int | SquarefreeD | DContext, p: int, construction_check: bool =
         if isinstance(exc, PreconditionViolated) and sd.d % 2 == 0 and p % 8 == 5:
             # the dyadic block makes b = p = 5 (mod 8), outside the domain
             # of the even-case cross product; documented, not alarming
-            reason = "governing route undefined: b = 5 (mod 8)"
+            fields["reason"] = "governing route undefined: b = 5 (mod 8)"
         else:
             alarms.append(f"governing route: {exc}")
     if q_direct is not None and q_governing is not None and q_direct != q_governing:
@@ -376,9 +376,8 @@ def evaluate(d: int | SquarefreeD | DContext, p: int, construction_check: bool =
         except UnitIndexError as exc:
             alarms.append(f"construction check: {exc}")
 
-    return replace(
-        verdict,
-        reason=reason,
+    return PrimeVerdict(
+        **fields,
         e_totally_real=e_real,
         q_direct=q_direct,
         q_governing=q_governing,

@@ -18,7 +18,8 @@ import os
 import struct
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
-from multiprocessing import get_context
+from functools import lru_cache
+from multiprocessing import get_all_start_methods, get_context
 
 from .arith import factor_squarefree, primes_in_range
 from .criterion import DContext, PrimeVerdict, evaluate
@@ -128,9 +129,15 @@ def record_of(v: PrimeVerdict) -> dict:
     }
 
 
+@lru_cache(maxsize=1)
+def _context(d: int) -> DContext:
+    """This process's context for the running scan; run_scan clears it first."""
+    return DContext(factor_squarefree(d))
+
+
 def _scan_chunk(args: tuple[int, int, int, int]) -> list[dict]:
     d, lo, hi, seed = args
-    ctx = DContext(factor_squarefree(d))
+    ctx = _context(d)
     out = []
     for p in primes_in_range(lo, hi):
         if p % 4 != 1 or d % p == 0:
@@ -243,10 +250,13 @@ def summarize(records: list[dict], d: int, X: int, m_filter=None) -> DensitySumm
 def run_scan(cfg: ScanConfig) -> tuple[DensitySummary, list[dict]]:
     """Evaluate every candidate prime up to cfg.X and aggregate densities.
 
-    Refuses to start unless verify_hypotheses accepts cfg.d.  The record
-    list is always in ascending prime order, whatever cfg.workers says, and
-    a checkpoint (if configured) is extended as chunks complete.
+    Refuses to start unless verify_hypotheses accepts cfg.d, and refuses
+    several workers where the platform cannot fork.  The record list is
+    always in ascending prime order, whatever cfg.workers says, and a
+    checkpoint (if configured) is extended as chunks complete.
     """
+    if cfg.workers > 1 and "fork" not in get_all_start_methods():
+        raise PreconditionViolated("workers > 1 needs the fork start method, which this platform lacks")
     failure = hypothesis_failure(verify_hypotheses(cfg.d))
     if failure is not None:
         raise PreconditionViolated(failure)
@@ -257,6 +267,7 @@ def run_scan(cfg: ScanConfig) -> tuple[DensitySummary, list[dict]]:
     ranges = _chunk_ranges(lo, cfg.X, cfg.workers)
     args = [(cfg.d, a, b, cfg.seed) for a, b in ranges]
 
+    _context.cache_clear()  # forked workers inherit the empty cache
     pool = get_context("fork").Pool(cfg.workers) if cfg.workers > 1 and len(args) > 1 else None
     with pool or nullcontext():
         for chunk in (pool.imap if pool else map)(_scan_chunk, args):

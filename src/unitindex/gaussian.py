@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import is_prime, sqrt_mod
+from .arith import is_prime
 from .errors import NonRealSymbolProduct, NotCoprime, NotSplit, PreconditionViolated
 
 
@@ -83,8 +83,12 @@ def split_primary(p: int, flip: bool = False) -> GaussInt:
 
 def _split_primary(p: int, flip: bool) -> GaussInt:
     """split_primary() for a prime p = 1 (mod 4) the caller has already proven."""
-    # Cornacchia: descend from a square root of -1.
-    r = sqrt_mod(p - 1, p)
+    # Cornacchia: descend from a square root of -1, c^((p-1)/4) for the least
+    # non-residue c (x^2 + y^2 = p has one solution up to order and sign)
+    q = (p - 1) // 4
+    c = 2
+    while (r := pow(c, q, p)) * r % p != p - 1:
+        c += 1
     a, b = p, r
     while b * b > p:
         a, b = b, a % b

@@ -294,3 +294,16 @@ def test_9_scan_determinism(tmp_path):
         f"1 vs 3 workers byte-identical: {workers_identical}; "
         f"resume after truncated checkpoint byte-identical: {resume_identical}",
     )
+
+
+def test_10_scans_clean_for_t_4_to_6():
+    details = []
+    ok = True
+    for d in (32045, 1185665, 2371330):
+        _, records = run_scan(ScanConfig(d=d, X=2 * 10**5, workers=1, seed=0))
+        alarmed = sum(1 for r in records if r["alarms"])
+        both = [r for r in records if r["Q_direct"] is not None and r["Q_governing"] is not None]
+        disagree = sum(1 for r in both if r["Q_direct"] != r["Q_governing"])
+        ok = ok and alarmed == 0 and disagree == 0 and len(both) > 0
+        details.append(f"d = {d}: {len(records)} primes, {alarmed} alarmed, {disagree}/{len(both)} routes disagree")
+    _verdict(10, ok, "; ".join(details))

@@ -5,6 +5,7 @@ import pytest
 
 from unitindex.arith import (
     SquarefreeD,
+    _sieve_upto,
     factor_squarefree,
     is_prime,
     jacobi,
@@ -52,6 +53,63 @@ def test_is_prime_rejects_strong_pseudoprimes():
     assert not is_prime(3317044064679887385961981)
     assert is_prime(2**89 - 1)
     assert is_prime(2**127 - 1)
+
+
+# OEIS A014233 up to 2^64: the least strong pseudoprime to the first k
+# prime bases, for k = 1..7 and 9 (k = 8 repeats k = 7)
+_A014233 = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+)
+
+
+def _is_prime_all_bases(n):
+    """Trial division by the first twelve primes, then all twelve as
+    Miller-Rabin bases: a proof for every n < 2^64."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    if any(n % a == 0 for a in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_is_prime_rejects_each_a014233_bound():
+    for n in _A014233:
+        assert not is_prime(n), n
+
+
+def test_is_prime_matches_all_bases_reference():
+    # 8321 = 53 * 157 is the first strong pseudoprime to base 2 that the
+    # trial division does not catch
+    primes = set(_sieve_upto(2 * 10**5))
+    assert all(is_prime(n) == (n in primes) for n in range(2 * 10**5))
+    for bound in _A014233:
+        for n in range(bound - 2000, bound + 2001):
+            assert is_prime(n) == _is_prime_all_bases(n), n
+    rng = random.Random(2024)
+    for _ in range(10**4):
+        n = rng.randrange(1, 1 << 64, 2)
+        assert is_prime(n) == _is_prime_all_bases(n), n
 
 
 def test_jacobi_known_values():
@@ -142,6 +200,23 @@ def test_primes_in_range_large_edge():
 def test_primes_in_range_counts():
     # pi(10^5) = 9592
     assert sum(1 for _ in primes_in_range(2, 10**5)) == 9592
+
+
+def test_primes_in_range_matches_sieve():
+    segment = 1 << 17
+    ranges = [
+        (3, segment + 100),  # the second segment starts at lo + 2^17
+        (100000, 100000 + 2 * segment + 7),
+        (0, 5000),
+        (1, 5000),
+        (2, 5000),
+        (5000, 4999),  # lo > hi
+        (100, 1009 * 1009),  # hi is a prime square
+        (1009 * 1009, 1009 * 1009),
+    ]
+    for lo, hi in ranges:
+        expected = [p for p in _sieve_upto(hi) if p >= lo]
+        assert list(primes_in_range(lo, hi)) == expected, (lo, hi)
 
 
 def test_factor_squarefree_known():

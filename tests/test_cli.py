@@ -48,6 +48,14 @@ def test_refusal_exits_2(capsys):
     assert "3 (mod 4)" in err
 
 
+def test_missing_fork_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(experiment, "get_all_start_methods", lambda: ["spawn"])
+    code, out, err = run(capsys, ["--d", "65", "--X", "20000", "--workers", "2"])
+    assert code == 2
+    assert out == ""
+    assert "fork" in err
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     conf = tmp_path / "scan.conf"
     conf.write_text("# small demo scan\nd = 65\nX = 100\nformat = json\n")

@@ -241,9 +241,8 @@ def test_scan_splits_each_prime_once_and_fills_tables_per_split_set(monkeypatch)
         "quartic_cross_product": 0,
         "split_primary": 0,
     }
-    tabled = ("redei_rank4", "find_decomposition", "quartic_cross_product", "split_primary")
     factors = (5, 13, 17)
-    per_chunk = []
+    chunks = [0]
 
     def counting(module, name):
         inner = getattr(module, name)
@@ -262,25 +261,26 @@ def test_scan_splits_each_prime_once_and_fills_tables_per_split_set(monkeypatch)
     chunk = experiment._scan_chunk
 
     def counting_chunk(args):
-        before = dict(calls)
-        out = chunk(args)
-        per_chunk.append({k: calls[k] - before[k] for k in tabled})
-        return out
+        chunks[0] += 1
+        return chunk(args)
 
     monkeypatch.setattr(experiment, "_scan_chunk", counting_chunk)
-    _, records = scan(1105, 20000, workers=1)
-    assert calls["ordered_factors"] == len(records) > 1000
-    assert len(per_chunk) > 1
-    for counts in per_chunk:
-        assert 0 < counts["redei_rank4"] <= 1 << 3
-        assert counts["find_decomposition"] <= 1 << 3
-        assert 0 < counts["quartic_cross_product"] <= 1 << 3
-        assert 0 < counts["split_primary"] <= len(factors)
+    # one context per process and scan: each table entry is filled once
+    # over all chunks, and the second scan starts from empty tables again
+    for _ in range(2):
+        calls.update(dict.fromkeys(calls, 0))
+        chunks[0] = 0
+        _, records = scan(1105, 20000, workers=1)
+        assert calls["ordered_factors"] == len(records) > 1000
+        assert chunks[0] > 1
+        for name in ("redei_rank4", "find_decomposition", "quartic_cross_product"):
+            assert 0 < calls[name] <= 1 << 3, name
+        assert 0 < calls["split_primary"] <= len(factors)
 
 
 def test_scan_proves_each_prime_about_once(monkeypatch):
     # counted at every module that binds is_prime, so no caller is missed;
-    # what remains above one call per candidate is the per-chunk table fills
+    # what remains above one call per candidate is the per-scan table fills
     # and the sampled construction checks
     calls = [0]
     inner = arith.is_prime
@@ -298,3 +298,25 @@ def test_scan_proves_each_prime_about_once(monkeypatch):
         _, records = scan(d, 20000, workers=1)
         assert len(records) > 1000
         assert calls[0] < 2.5 * len(records), (d, calls[0], len(records))
+
+
+def test_scan_builds_one_verdict_per_candidate(monkeypatch):
+    built = [0]
+    inner = criterion.PrimeVerdict.__post_init__
+
+    def counting(self):
+        built[0] += 1
+        inner(self)
+
+    monkeypatch.setattr(criterion.PrimeVerdict, "__post_init__", counting)
+    _, records = scan(1105, 20000, workers=1)
+    assert len(records) > 1000
+    assert built[0] == len(records)
+
+
+def test_several_workers_need_fork(monkeypatch):
+    monkeypatch.setattr(experiment, "get_all_start_methods", lambda: ["spawn"])
+    with pytest.raises(PreconditionViolated, match="fork"):
+        scan(65, 20000, workers=2)
+    _, records = scan(65, 2000, workers=1)
+    assert records

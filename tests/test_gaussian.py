@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from unitindex.arith import primes_in_range
+from unitindex.arith import primes_in_range, sqrt_mod
 from unitindex.errors import NonRealSymbolProduct, NotCoprime, NotSplit, PreconditionViolated
 from unitindex.gaussian import (
     GaussInt,
@@ -52,6 +52,26 @@ def test_split_primary_properties():
         assert pi.im % 2 == 0
         assert (pi.re + pi.im) % 4 == 1
         assert pi.im > 0
+
+
+def _split_primary_from_sqrt(p, flip):
+    """Cornacchia from sqrt_mod's root of -1, then the primary one of the
+    four associates, conjugated to the labeling ``flip`` asks for."""
+    a, b = p, sqrt_mod(p - 1, p)
+    while b * b > p:
+        a, b = b, a % b
+    x, y = b, a % b
+    for re, im in ((x, y), (-y, x), (-x, -y), (y, -x)):
+        if re % 2 == 1 and im % 2 == 0 and (re + im) % 4 == 1:
+            pi = GaussInt(re, im)
+    return pi.conjugate() if (pi.im < 0) != flip else pi
+
+
+def test_split_primary_matches_sqrt_mod_reference():
+    for p in primes_in_range(5, 2 * 10**5):
+        if p % 4 == 1:
+            for flip in (False, True):
+                assert split_primary(p, flip) == _split_primary_from_sqrt(p, flip), (p, flip)
 
 
 def test_split_primary_flip_labeling():
