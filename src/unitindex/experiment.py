@@ -12,7 +12,6 @@ changing a byte of the final report.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 import struct
@@ -20,7 +19,9 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from multiprocessing import get_all_start_methods, get_context
+from types import SimpleNamespace
 
+from . import __version__
 from .arith import factor_squarefree, primes_in_range
 from .criterion import DContext, PrimeVerdict, evaluate
 from .errors import PreconditionViolated
@@ -29,8 +30,8 @@ from .qfclassgroup import HypothesisReport, verify_hypotheses
 SCHEMA_VERSION = 1
 
 _MAGIC = b"UIDXSCN\x00"
-_LOG_VERSION = 2
-_HEADER = struct.Struct(">QQI")  # d, X, low 32 bits of the seed
+_LOG_VERSION = 3
+_HEADER = struct.Struct(">QQIH")  # d, X, low 32 bits of the seed, package version length
 _SAMPLE_MOD = 64  # about one construction cross-check per this many primes
 
 
@@ -162,34 +163,37 @@ def _chunk_ranges(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
 class _CheckpointLog:
     """Append-only length-prefixed record log with a magic header.
 
-    Layout: 8-byte magic, one version byte, big-endian u64 d, u64 X and
-    u32 sampling seed (the low 32 bits, all that _sampled reads), then
-    records, each a big-endian u32 byte length followed by compact JSON.
-    A torn tail (from a killed scan) is truncated on open.
+    Layout: 8-byte magic, one version byte, big-endian u64 d, u64 X,
+    u32 sampling seed (the low 32 bits, all that _sampled reads) and the
+    package version as a u16 length and UTF-8 text, then records, each a
+    big-endian u32 byte length followed by compact JSON.  A torn tail
+    (from a killed scan) is truncated on open.
     """
 
     def __init__(self, cfg: ScanConfig):
         self.path = cfg.checkpoint
-        self.header = (cfg.d, cfg.X, cfg.seed & 0xFFFFFFFF)
+        self.header = (cfg.d, cfg.X, cfg.seed & 0xFFFFFFFF, __version__.encode())
         self.records: list[dict] = []
         if os.path.exists(self.path) and os.path.getsize(self.path) > 0:
             self._load()
         else:
             with open(self.path, "wb") as fh:
-                fh.write(_MAGIC + bytes([_LOG_VERSION]) + _HEADER.pack(*self.header))
+                fh.write(_MAGIC + bytes([_LOG_VERSION]) + _HEADER.pack(*self.header[:3], len(self.header[3])))
+                fh.write(self.header[3])
 
     def _load(self):
         with open(self.path, "rb") as fh:
             head = fh.read(len(_MAGIC) + 1 + _HEADER.size)
+            if len(head) > len(_MAGIC) and head.startswith(_MAGIC) and head[len(_MAGIC)] != _LOG_VERSION:
+                raise PreconditionViolated(f"unsupported checkpoint version {head[len(_MAGIC)]}")
             if len(head) < len(_MAGIC) + 1 + _HEADER.size or not head.startswith(_MAGIC):
                 raise PreconditionViolated(f"{self.path} is not a scan checkpoint")
-            if head[len(_MAGIC)] != _LOG_VERSION:
-                raise PreconditionViolated(f"unsupported checkpoint version {head[len(_MAGIC)]}")
-            d, X, seed = _HEADER.unpack(head[len(_MAGIC) + 1 :])
-            if (d, X, seed) != self.header:
+            d, X, seed, n = _HEADER.unpack(head[len(_MAGIC) + 1 :])
+            version = fh.read(n)
+            if (d, X, seed, version) != self.header:
                 raise PreconditionViolated(
-                    f"checkpoint was written for d = {d}, X = {X}, seed = {seed}; "
-                    "refusing to mix scans"
+                    f"checkpoint was written for d = {d}, X = {X}, seed = {seed} by unitindex "
+                    f"{version.decode(errors='replace')}; refusing to mix scans"
                 )
             good_end = fh.tell()
             while True:
@@ -211,9 +215,10 @@ class _CheckpointLog:
                 fh.truncate(good_end)
 
     def append(self, records: list[dict]):
+        style = (lambda rec: json.dumps(rec, sort_keys=True, separators=(",", ":")), {})
         with open(self.path, "ab") as fh:
             for rec in records:
-                blob = json.dumps(rec, sort_keys=True, separators=(",", ":")).encode()
+                blob = _row(rec, style).encode()
                 fh.write(struct.pack(">I", len(blob)) + blob)
             fh.flush()
             os.fsync(fh.fileno())
@@ -223,13 +228,16 @@ def summarize(records: list[dict], d: int, X: int, m_filter=None) -> DensitySumm
     """Per-m density rows over a finished record stream."""
     t = factor_squarefree(d).t
     ms = range(t + 1) if m_filter is None else sorted(m_filter)
+    counts = {m: [0, 0, 0, 0] for m in ms}  # n_total, n_in_P, n_E_real, n_Q2
+    for r in records:
+        c = counts.get(r["m"])
+        if c is not None:
+            c[0] += 1
+            c[1] += bool(r["in_P"])
+            c[2] += bool(r["E_real"])
+            c[3] += r["Q_direct"] == 2
     rows = []
-    for m in ms:
-        sub = [r for r in records if r["m"] == m]
-        n_total = len(sub)
-        n_in = sum(1 for r in sub if r["in_P"])
-        n_e = sum(1 for r in sub if r["E_real"])
-        n_q2 = sum(1 for r in sub if r["Q_direct"] == 2)
+    for m, (n_total, n_in, n_e, n_q2) in counts.items():
         in_window = m in (t - 1, t - 2) and m >= 0
         rows.append(
             DensityRow(
@@ -307,20 +315,31 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _row(rec: dict, style: tuple) -> str:
+    """dump(rec) for style = (dump, templates), from one template per record shape.
+
+    A shape is the keys and the repr of every value but p (so True and 1
+    differ); dump itself makes the template, and only p's digits are filled in.
+    """
+    dump, templates = style
+    shape = (*rec, *map(repr, {**rec, "p": 0}.values()))
+    template = templates.get(shape)
+    if template is None:
+        zero, one = dump({**rec, "p": 0}), dump({**rec, "p": 1})
+        cut = len(os.path.commonprefix((zero, one)))
+        template = templates[shape] = (zero[:cut], zero[cut + 1 :])
+    return f"{template[0]}{rec['p']}{template[1]}"
+
+
 def render_csv(summary: DensitySummary, records: list[dict]) -> str:
     """RFC-4180-style table of records, then a blank line and the summary."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_FIELDS)
-    for rec in records:
-        writer.writerow(_cell(rec[k]) for k in _CSV_FIELDS)
+    line = csv.writer(SimpleNamespace(write=str), lineterminator="\n")  # writerow returns the line
+    style = (lambda rec: line.writerow([_cell(rec[k]) for k in _CSV_FIELDS]), {})
+    lines = [line.writerow(_CSV_FIELDS), *(_row(rec, style) for rec in records)]
     if records:
-        buf.write("\n")
-        writer.writerow(_SUMMARY_FIELDS)
-        for row in summary.rows:
-            data = asdict(row)
-            writer.writerow(_cell(data[k]) for k in _SUMMARY_FIELDS)
-    return buf.getvalue()
+        lines.append("\n" + line.writerow(_SUMMARY_FIELDS))
+        lines += (line.writerow(_cell(getattr(row, k)) for k in _SUMMARY_FIELDS) for row in summary.rows)
+    return "".join(lines)
 
 
 def render_json(summary: DensitySummary, records: list[dict]) -> str:
@@ -330,10 +349,14 @@ def render_json(summary: DensitySummary, records: list[dict]) -> str:
         "d": summary.d,
         "X": summary.X,
         "t": summary.t,
-        "records": records,
+        "records": [],
         "summary": [asdict(row) for row in summary.rows],
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    # rows sit two levels deep: "records" is a key of the top-level object
+    style = (lambda rec: json.dumps(rec, sort_keys=True, indent=2).replace("\n", "\n    "), {})
+    rows = ",\n    ".join(_row(rec, style) for rec in records)
+    return text.replace('"records": []', f'"records": [\n    {rows}\n  ]', 1) if records else text
 
 
 def report(summary: DensitySummary, records: list[dict], cfg: ScanConfig) -> str:

@@ -1,9 +1,12 @@
+import csv
 import importlib
+import io
 import json
 import math
 import os
 import pkgutil
 import struct
+from dataclasses import asdict
 
 import pytest
 
@@ -12,7 +15,10 @@ from unitindex import arith, criterion, experiment
 from unitindex.arith import primes_in_range
 from unitindex.errors import PreconditionViolated
 from unitindex.experiment import (
+    _CSV_FIELDS,
+    _SUMMARY_FIELDS,
     ScanConfig,
+    _cell,
     hypothesis_failure,
     render_csv,
     render_json,
@@ -320,3 +326,138 @@ def test_several_workers_need_fork(monkeypatch):
         scan(65, 20000, workers=2)
     _, records = scan(65, 2000, workers=1)
     assert records
+
+
+def test_checkpoint_header_records_the_package_version(tmp_path, monkeypatch):
+    ck = tmp_path / "scan.log"
+    scan(65, 1000, checkpoint=str(ck), seed=7)
+    version = unitindex.__version__.encode()
+    head = experiment._MAGIC + bytes([3]) + struct.pack(">QQIH", 65, 1000, 7, len(version)) + version
+    assert ck.read_bytes().startswith(head)
+    monkeypatch.setattr(experiment, "__version__", unitindex.__version__ + ".post1")
+    with pytest.raises(PreconditionViolated, match="refusing to mix"):
+        scan(65, 1000, checkpoint=str(ck), seed=7)
+
+
+def test_checkpoint_refuses_version_2_files(tmp_path):
+    # the version-2 header had no package version; with and without records
+    v2 = experiment._MAGIC + bytes([2]) + struct.pack(">QQI", 65, 1000, 0)
+    blob = b'{"E_real":true,"Q_direct":2,"Q_governing":2,"a":5,"alarms":[],"b":13,"in_P":true,"m":0,"p":37,"reason":""}'
+    for body in (v2, v2 + struct.pack(">I", len(blob)) + blob):
+        ck = tmp_path / "old.log"
+        ck.write_bytes(body)
+        with pytest.raises(PreconditionViolated, match="unsupported checkpoint version 2"):
+            scan(65, 1000, checkpoint=str(ck))
+        assert ck.read_bytes() == body
+
+
+def reference_csv(summary, records):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(_CSV_FIELDS)
+    for rec in records:
+        writer.writerow(_cell(rec[k]) for k in _CSV_FIELDS)
+    if records:
+        buf.write("\n")
+        writer.writerow(_SUMMARY_FIELDS)
+        for row in summary.rows:
+            data = asdict(row)
+            writer.writerow(_cell(data[k]) for k in _SUMMARY_FIELDS)
+    return buf.getvalue()
+
+
+def reference_json(summary, records):
+    doc = {
+        "schema_version": 1,
+        "d": summary.d,
+        "X": summary.X,
+        "t": summary.t,
+        "records": records,
+        "summary": [asdict(row) for row in summary.rows],
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def logged_blobs(path):
+    data = path.read_bytes()
+    at = len(experiment._MAGIC) + 1 + experiment._HEADER.size
+    at += experiment._HEADER.unpack(data[len(experiment._MAGIC) + 1 : at])[-1]
+    blobs = []
+    while at < len(data):
+        (n,) = struct.unpack(">I", data[at : at + 4])
+        blobs.append(data[at + 4 : at + 4 + n])
+        at += 4 + n
+    return blobs
+
+
+def generated_records(base):
+    text = 'quote " backslash \\ newline \n tab \t \u00e9\u2211 "p": 0, comma'
+    shapes = [
+        {k: None for k in base},
+        {**base, "in_P": True, "E_real": False},
+        {**base, "in_P": 1, "E_real": 0},  # equal to the line above, but not in JSON
+        {**base, "in_P": False, "E_real": True, "Q_direct": True},
+        {**base, "in_P": 0, "E_real": 1, "Q_direct": 1},
+        {**base, "a": 5.0, "b": 13},
+        {**base, "alarms": ["route disagreement: direct 1, governing 2", "construction check: x", "third"]},
+        {**base, "reason": text, "alarms": [text, '"p": 0', "\\", ""]},
+        dict(sorted({**base, "alarms": ["one"]}.items())),  # key order as a checkpoint load gives it
+    ]
+    ps = [5, 13, 101, 9973, 1000003, 10**12 + 39]
+    return [{**shape, "p": p} for p in ps for shape in shapes]
+
+
+def test_renderers_match_the_stdlib(tmp_path):
+    summary, base = scan(65, 300)
+    filtered = scan(1105, 3000, m_filter=frozenset({1, 3}))
+    cases = [
+        (summary, generated_records(base[0])),
+        (summary, base),
+        filtered,
+        scan(65, 5),  # no records
+    ]
+    assert filtered[1] and cases[-1][1] == []
+    for i, (summary, records) in enumerate(cases):
+        assert render_json(summary, records) == reference_json(summary, records)
+        assert render_csv(summary, records) == reference_csv(summary, records)
+        ck = tmp_path / f"case{i}.log"
+        log = experiment._CheckpointLog(ScanConfig(d=65, X=300, checkpoint=str(ck)))
+        log.append(records[: len(records) // 2])
+        log.append(records[len(records) // 2 :])
+        compact = [json.dumps(r, sort_keys=True, separators=(",", ":")).encode() for r in records]
+        assert logged_blobs(ck) == compact
+        assert experiment._CheckpointLog(ScanConfig(d=65, X=300, checkpoint=str(ck))).records == [
+            json.loads(b) for b in compact
+        ]
+
+
+def test_summarize_matches_per_m_passes():
+    _, records = scan(1105, 5000)
+    for m_filter in (None, frozenset({0, 3}), frozenset({7})):
+        rows = summarize(records, 1105, 5000, m_filter).rows
+        assert [row.m for row in rows] == sorted(m_filter or range(4))
+        for row in rows:
+            sub = [r for r in records if r["m"] == row.m]
+            assert row.n_total == len(sub)
+            assert row.n_in_P == sum(1 for r in sub if r["in_P"])
+            assert row.n_E_real == sum(1 for r in sub if r["E_real"])
+            assert row.n_Q2 == sum(1 for r in sub if r["Q_direct"] == 2)
+
+
+def test_render_and_append_dump_once_per_shape(tmp_path, monkeypatch):
+    summary, records = scan(1105, 20000)
+    shapes = len({json.dumps({**r, "p": 0}) for r in records})
+    assert len(records) > 20 * shapes
+    calls = [0]
+    inner = json.dumps
+
+    def counting(*args, **kw):
+        calls[0] += 1
+        return inner(*args, **kw)
+
+    monkeypatch.setattr(experiment.json, "dumps", counting)
+    render_json(summary, records)
+    assert calls[0] <= 2 * shapes + 1, (calls[0], shapes)
+    calls[0] = 0
+    experiment._CheckpointLog(ScanConfig(d=1105, X=20000, checkpoint=str(tmp_path / "scan.log"))).append(records)
+    assert calls[0] <= 2 * shapes, (calls[0], shapes)
