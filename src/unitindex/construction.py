@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterator
 
-from .arith import SquarefreeD, factor_squarefree, jacobi
+from .arith import SquarefreeD, factor_squarefree, is_prime, jacobi
 from .errors import (
     HeightExceeded,
     LocalObstruction,
@@ -25,7 +25,7 @@ from .errors import (
 )
 from .quadfield import SPLIT, KpElement, PellUnit, splitting
 from .redei import ordered_factors, rank_and_kernel, split_residue_matrix
-from .symbols import INFINITY, hilbert
+from .symbols import INFINITY, _hilbert, hilbert
 
 MODE_DECOMPOSITION = "decomposition"  # p*x^2 - a*y^2 - b*z^2 = 0
 MODE_SPLIT = "split"  # x^2 - p*y^2 - a*z^2 = 0 (b unused)
@@ -86,22 +86,24 @@ class Decomposition:
 def _check_local_solvability(c1: int, c2: int, c3: int) -> None:
     u = -c1 * c2
     v = -c1 * c3
-    # every prime dividing a coefficient, by one trial division each; one
-    # that divides every coefficient to an even power has symbol 1
+    # every prime dividing a coefficient, trial dividing up to a prime
+    # cofactor; one dividing every coefficient to an even power has symbol 1
     places: set[int] = set()
     for c in (c1, c2, c3):
         n, q = abs(c), 2
-        while q * q <= n:
+        prime = is_prime(n)
+        while not prime and q * q <= n:
             if n % q == 0:
                 places.add(q)
                 while n % q == 0:
                     n //= q
+                prime = is_prime(n)
             q += 1
         places.add(n)
     # odd places first: a failure comes in pairs by the product formula,
     # and the odd member is the one a descent argument names
     for r in sorted(places - {1, 2}) + [2]:
-        if hilbert(u, v, r) != 1:
+        if _hilbert(u, v, r) != 1:
             raise LocalObstruction(r)
 
 
@@ -110,9 +112,11 @@ def _solutions(c1: int, c2: int, c3: int) -> Iterator[tuple[int, int, int]]:
     x, y, z >= 0, in (x, z, y)-lexicographic order, searched x by x.
 
     The solutions of each x are yielded as soon as that x is done.  The
-    inner loop runs over the variable with the larger coefficient W, so x
-    costs isqrt(c1*x^2 / W) + 1 steps; HeightExceeded is raised once the
-    running count passes _SEARCH_BUDGET.  The Holzer bound |x| <= sqrt(c2*c3)
+    inner loop runs over the variable w with the larger coefficient W and
+    visits only the w whose class mod the other coefficient S solves
+    W*w^2 = c1*x^2; the budget counts the whole box, isqrt(c1*x^2 / W) + 1
+    per x, and HeightExceeded is raised once the running count passes
+    _SEARCH_BUDGET.  The Holzer bound |x| <= sqrt(c2*c3)
     holds a solution whenever one exists and the coefficients are squarefree
     and pairwise coprime.  The search needs no cap on x: up to
     x = 16384 * isqrt(c2*c3) the summed cost is at least 7 * 10^7 steps
@@ -140,17 +144,17 @@ def _solutions(c1: int, c2: int, c3: int) -> Iterator[tuple[int, int, int]]:
                 f"search budget exhausted near x = {x} for ({A}, {-B}, {-C})"
             )
         found = []
-        for w in range(w_hi + 1):
-            rem = target - W * w * w
-            if rem % S:
-                continue
-            s2 = rem // S
-            s = math.isqrt(s2)
-            if s * s != s2:
-                continue
-            y, z = (s, w) if solve_for_y else (w, s)
-            if math.gcd(math.gcd(x, y), z) == 1:
-                found.append((x, y, z))
+        # S divides target - W*w^2 exactly when w mod S is a root of it
+        roots = [r for r in range(min(S, w_hi + 1)) if (target - W * r * r) % S == 0]
+        for r in roots:
+            for w in range(r, w_hi + 1, S):
+                s2 = (target - W * w * w) // S
+                s = math.isqrt(s2)
+                if s * s != s2:
+                    continue
+                y, z = (s, w) if solve_for_y else (w, s)
+                if math.gcd(math.gcd(x, y), z) == 1:
+                    found.append((x, y, z))
         found.sort(key=lambda sol: (sol[2], sol[1]))
         yield from found
 

@@ -33,7 +33,7 @@ from .construction import (
 )
 from .errors import OutOfScopeM, PreconditionViolated, UnitIndexError
 from .gaussian import GaussInt, _quad_symbol, _split_primary, split_primary
-from .quadfield import pell_negative_unit
+from .quadfield import _pell_negative_unit
 from .redei import (
     extended_residue_matrix,
     ordered_factors,
@@ -317,7 +317,7 @@ def _construction_real(sd: SquarefreeD, p: int, dec: Decomposition) -> bool:
     """Total reality of the quadratic-form generator, the expensive way."""
     x, y, z = solve_legendre(p, -dec.a, -dec.b)
     solution = TernarySolution(x, y, z, p, dec.a, dec.b, mode=MODE_DECOMPOSITION)
-    return totally_real(normalize_solution(solution), pell_negative_unit(p))
+    return totally_real(normalize_solution(solution), _pell_negative_unit(p))
 
 
 def evaluate(d: int | SquarefreeD | DContext, p: int, construction_check: bool = False) -> PrimeVerdict:

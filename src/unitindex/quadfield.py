@@ -23,7 +23,7 @@ RAMIFIED = "ramified"
 FIRST = "first"
 CONJUGATE = "conjugate"
 
-_PELL_ITERATION_CAP = 10**6
+_PELL_ITERATION_CAP = 10**6  # steps through the first half of a period
 
 
 @dataclass(frozen=True)
@@ -70,24 +70,30 @@ class KpElement:
 def pell_negative_unit(p: int) -> PellUnit:
     """Fundamental solution of u^2 - p*v^2 = -1, with v - u = 1 (mod 4).
 
-    Found on the continued-fraction convergents of sqrt(p).  Requires prime
-    p = 1 (mod 4); such p always carry a norm -1 unit.
+    Built from the first half of the continued-fraction period of sqrt(p).
+    Requires prime p = 1 (mod 4); such p always carry a norm -1 unit.
     """
     if not is_prime(p):
         raise PreconditionViolated(f"{p} is not prime")
     if p % 4 != 1:
         raise NoNegativeNormUnit(f"no norm -1 unit for p = {p}")
+    return _pell_negative_unit(p)
+
+
+def _pell_negative_unit(p: int) -> PellUnit:
+    """pell_negative_unit() for a p = 1 (mod 4) the caller has proven prime."""
     a0 = math.isqrt(p)
     h_prev, h = 1, a0
     k_prev, k = 0, 1
     m, den = 0, 1
     for _ in range(_PELL_ITERATION_CAP):
         m = den * ((a0 + m) // den) - m
-        den = (p - m * m) // den
-        # h^2 - p*k^2 = +-den, so den = 1 ends the period of sqrt(p); the
-        # period is odd for prime p = 1 (mod 4), so that norm is -1
-        if den == 1:
-            u, v = h, k
+        den_prev, den = den, (p - m * m) // den
+        # the period of sqrt(p), p = 1 (mod 4) prime, is odd and a palindrome
+        # whose middle s is the first pair of equal denominators (den = 1
+        # twice at period 1); the unit comes from h_s/k_s and h_(s-1)/k_(s-1)
+        if den == den_prev:
+            u, v = h * k + h_prev * k_prev, k * k + k_prev * k_prev
             if (v - u) % 4 != 1:
                 v = -v
             unit = PellUnit(p, u, v)

@@ -77,6 +77,11 @@ def hilbert(a: int, b: int, r) -> int:
         return -1 if a < 0 and b < 0 else 1
     if not isinstance(r, int) or r < 2 or not is_prime(r):
         raise PreconditionViolated(f"place must be prime or INFINITY, got {r!r}")
+    return _hilbert(a, b, r)
+
+
+def _hilbert(a: int, b: int, r: int) -> int:
+    """hilbert() at a finite place r the caller has already proven prime."""
     alpha, u = _split_valuation(a, r)
     beta, v = _split_valuation(b, r)
     if r == 2:

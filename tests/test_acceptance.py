@@ -255,7 +255,7 @@ def test_8_construction_sign_bridge():
             taken += 1
             if taken >= 80:
                 break
-    ok = solvable >= 200 and agreeing == solvable
+    ok = solvable >= 200 and agreeing == solvable and unsolvable == 0
     _verdict(
         8,
         ok,

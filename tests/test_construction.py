@@ -5,6 +5,7 @@ import pytest
 
 from unitindex.arith import factor_squarefree, primes_in_range
 from unitindex.construction import (
+    MODE_DECOMPOSITION,
     MODE_SPLIT,
     Decomposition,
     TernarySolution,
@@ -21,7 +22,7 @@ from unitindex.errors import (
     NotSplit,
     PreconditionViolated,
 )
-from unitindex.criterion import evaluate
+from unitindex.criterion import classify, evaluate
 from unitindex.quadfield import PellUnit, pell_negative_unit
 from unitindex.redei import ordered_factors, redei_rank4
 from unitindex.symbols import INFINITY, fpr
@@ -296,22 +297,76 @@ def _brute_force_zeros(c1, c2, c3, x_max):
 
 def test_solutions_stream_matches_brute_force_listing():
     # odd coefficients, the dyadic 8 of split_generator, and both orders
-    # of |c2| against |c3|; the stream must list exactly the zeros with
-    # x <= x_max, in order, before it moves past x_max
+    # of |c2| against |c3|; then boxes far wider than the modulus S of the
+    # residue classes (prime and composite S, one locally obstructed) and
+    # an S wider than every box up to x_max; the stream must list exactly
+    # the zeros with x <= x_max, in order, before it moves past x_max
     x_max = 40
+    small = [
+        (c1, c2, c3)
+        for c1 in (1, 5, 13, 29, 37)
+        for c2, c3 in itertools.permutations((-1, -3, -5, -8, -13, -17), 2)
+    ]
+    wide = [
+        (10000253, -65, -17),
+        (10000253, -85, -13),
+        (10000229, -221, -15),
+        (10001357, -1105, -1073),
+        (2, -1105, -1073),
+    ]
     compared = 0
-    for c1 in (1, 5, 13, 29, 37):
-        for c2, c3 in itertools.permutations((-1, -3, -5, -8, -13, -17), 2):
-            want = _brute_force_zeros(c1, c2, c3, x_max)
-            try:
-                got = list(itertools.islice(_solutions(c1, c2, c3), len(want) + 1))
-            except LocalObstruction:
-                assert want == [], (c1, c2, c3)
+    for c1, c2, c3 in small + wide:
+        want = _brute_force_zeros(c1, c2, c3, x_max)
+        try:
+            got = list(itertools.islice(_solutions(c1, c2, c3), len(want) + 1))
+        except LocalObstruction:
+            assert want == [], (c1, c2, c3)
+            continue
+        assert got[: len(want)] == want, (c1, c2, c3)
+        assert got[len(want)][0] > x_max, (c1, c2, c3)
+        compared += 1
+    assert compared >= 70
+
+
+def test_solve_legendre_with_prime_coefficient_above_10_12():
+    # trial division would run to 10^6 before reaching the prime cofactor;
+    # the values are those of a full trial division
+    assert solve_legendre(1000000000177, -65, -17) == (7, 861911, 204668)
+    assert 1000000000177 * 49 - 65 * 861911**2 - 17 * 204668**2 == 0
+    for c2, c3, place in ((-5, -13, 5), (-13, -17, 17)):
+        with pytest.raises(LocalObstruction) as err:
+            solve_legendre(1000000000061, c2, c3)
+        assert err.value.place == place
+
+
+def test_sign_does_not_depend_on_the_normalized_solution():
+    # x*v read off the first and the second solution of the stream; the
+    # members are those of acceptance test 8
+    for d in (65, 85, 1105):
+        sd = factor_squarefree(d)
+        taken = 0
+        for p in primes_in_range(5, 10**5):
+            if p % 4 != 1 or d % p == 0:
                 continue
-            assert got[: len(want)] == want, (c1, c2, c3)
-            assert got[len(want)][0] > x_max, (c1, c2, c3)
-            compared += 1
-    assert compared > 50
+            v = classify(sd, p)
+            if not v.in_P or v.m != sd.t - 2:
+                continue
+            dec = find_decomposition(sd, p)
+            unit = pell_negative_unit(p)
+            signs = {
+                totally_real(
+                    normalize_solution(
+                        TernarySolution(x, y, z, p, dec.a, dec.b, mode=MODE_DECOMPOSITION)
+                    ),
+                    unit,
+                )
+                for x, y, z in itertools.islice(_solutions(p, -dec.a, -dec.b), 2)
+            }
+            assert len(signs) == 1, (d, p)
+            taken += 1
+            if taken >= 80:
+                break
+        assert taken == 80, d
 
 
 def test_solve_legendre_finds_near_solution_of_large_box():

@@ -59,9 +59,12 @@ def test_pell_period_end_matches_per_step_norm():
         if p % 4 == 1:
             unit = pell_negative_unit(p)
             assert (unit.u, abs(unit.v)) == _pell_by_norm(p), p
-    unit = pell_negative_unit(10000253)
-    assert unit.norm() == -1
-    assert (unit.u, abs(unit.v)) == _pell_by_norm(10000253)
+    # period 1 (p = 5), where the middle of the period is its first step,
+    # and primes above 10^8
+    for p in (5, 10000253, 100000037, 100000049, 100000073):
+        unit = pell_negative_unit(p)
+        assert unit.norm() == -1
+        assert (unit.u, abs(unit.v)) == _pell_by_norm(p), p
 
 
 def test_pell_is_fundamental():
