@@ -114,13 +114,13 @@ def _solutions(c1: int, c2: int, c3: int) -> Iterator[tuple[int, int, int]]:
     The solutions of each x are yielded as soon as that x is done.  The
     inner loop runs over the variable w with the larger coefficient W and
     visits only the w whose class mod the other coefficient S solves
-    W*w^2 = c1*x^2; the budget counts the whole box, isqrt(c1*x^2 / W) + 1
-    per x, and HeightExceeded is raised once the running count passes
-    _SEARCH_BUDGET.  The Holzer bound |x| <= sqrt(c2*c3)
-    holds a solution whenever one exists and the coefficients are squarefree
-    and pairwise coprime.  The search needs no cap on x: up to
-    x = 16384 * isqrt(c2*c3) the summed cost is at least 7 * 10^7 steps
-    (least at (1, -1, -3)), so the budget always ends it first.
+    W*w^2 = c1*x^2.  The budget counts the work done: per x, the residues
+    the root scan tries plus the w visited.  Once the running count passes
+    _SEARCH_BUDGET, HeightExceeded is raised before that x is walked, so a
+    failed search walks at most _SEARCH_BUDGET w.  The Holzer bound
+    |x| <= sqrt(c2*c3) holds a solution whenever one exists and the
+    coefficients are squarefree and pairwise coprime.  No cap on x is
+    needed: every x costs a step, so the budget ends the search first.
     """
     if 0 in (c1, c2, c3):
         raise PreconditionViolated("coefficients must be nonzero")
@@ -138,16 +138,19 @@ def _solutions(c1: int, c2: int, c3: int) -> Iterator[tuple[int, int, int]]:
     for x in itertools.count(1):
         target = A * x * x
         w_hi = math.isqrt(target // W)
-        spent += w_hi + 1
+        # S divides target - W*w^2 exactly when w mod S is a root of it
+        span = min(S, w_hi + 1)
+        spent += span
+        if spent <= _SEARCH_BUDGET:
+            classes = [range(r, w_hi + 1, S) for r in range(span) if (target - W * r * r) % S == 0]
+            spent += sum(map(len, classes))
         if spent > _SEARCH_BUDGET:
             raise HeightExceeded(
                 f"search budget exhausted near x = {x} for ({A}, {-B}, {-C})"
             )
         found = []
-        # S divides target - W*w^2 exactly when w mod S is a root of it
-        roots = [r for r in range(min(S, w_hi + 1)) if (target - W * r * r) % S == 0]
-        for r in roots:
-            for w in range(r, w_hi + 1, S):
+        for ws in classes:
+            for w in ws:
                 s2 = (target - W * w * w) // S
                 s = math.isqrt(s2)
                 if s * s != s2:

@@ -24,6 +24,7 @@ FIRST = "first"
 CONJUGATE = "conjugate"
 
 _PELL_ITERATION_CAP = 10**6  # steps through the first half of a period
+_PELL_BLOCK = 32  # partial quotients multiplied out per small-integer block
 
 
 @dataclass(frozen=True)
@@ -83,16 +84,26 @@ def pell_negative_unit(p: int) -> PellUnit:
 def _pell_negative_unit(p: int) -> PellUnit:
     """pell_negative_unit() for a p = 1 (mod 4) the caller has proven prime."""
     a0 = math.isqrt(p)
-    h_prev, h = 1, a0
-    k_prev, k = 0, 1
-    m, den = 0, 1
-    for _ in range(_PELL_ITERATION_CAP):
-        m = den * ((a0 + m) // den) - m
-        den_prev, den = den, (p - m * m) // den
+    # remainders from P_0 = 0, Q_0 = 1, Q_(-1) = p: Q_(n+1) = Q_(n-1) + a_n*(P_n - P_(n+1))
+    P, Q_prev, Q = 0, p, 1
+    blocks = []
+    for _ in range(_PELL_ITERATION_CAP // _PELL_BLOCK):
+        # [[h, h_prev], [k, k_prev]] of the next quotients, in small integers
+        h, h_prev, k, k_prev = 1, 0, 0, 1
+        for _ in range(_PELL_BLOCK):
+            a = (a0 + P) // Q
+            h, h_prev = a * h + h_prev, h
+            k, k_prev = a * k + k_prev, k
+            P, P_prev = a * Q - P, P
+            Q_prev, Q = Q, Q_prev + a * (P_prev - P)
+            if Q == Q_prev:
+                break
+        blocks.append((h, h_prev, k, k_prev))
         # the period of sqrt(p), p = 1 (mod 4) prime, is odd and a palindrome
-        # whose middle s is the first pair of equal denominators (den = 1
-        # twice at period 1); the unit comes from h_s/k_s and h_(s-1)/k_(s-1)
-        if den == den_prev:
+        # whose middle s is the first pair of equal remainders (Q = 1 twice
+        # at period 1); the unit comes from h_s/k_s and h_(s-1)/k_(s-1)
+        if Q == Q_prev:
+            h, h_prev, k, k_prev = _product(blocks, 0, len(blocks))
             u, v = h * k + h_prev * k_prev, k * k + k_prev * k_prev
             if (v - u) % 4 != 1:
                 v = -v
@@ -102,10 +113,16 @@ def _pell_negative_unit(p: int) -> PellUnit:
             expected = (0, 1) if p % 8 == 1 else (2, 3)
             assert (u % 4, v % 4) == expected
             return unit
-        a = (a0 + m) // den
-        h_prev, h = h, a * h + h_prev
-        k_prev, k = k, a * k + k_prev
     raise IterationLimitExceeded(f"no norm -1 convergent for {p} within cap")
+
+
+def _product(blocks: list[tuple[int, int, int, int]], lo: int, hi: int) -> tuple[int, int, int, int]:
+    """Balanced product of the 2x2 matrices blocks[lo:hi], in order."""
+    if hi - lo == 1:
+        return blocks[lo]
+    mid = (lo + hi) // 2
+    (a, b, c, d), (e, f, g, h) = _product(blocks, lo, mid), _product(blocks, mid, hi)
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
 
 def splitting(q: int, p: int) -> str:

@@ -280,6 +280,15 @@ def test_search_budget_is_enforced(monkeypatch):
             pass
 
 
+def test_search_budget_counts_the_steps_taken():
+    # the boxes of x <= 9 hold about 1.1 * 10^7 values of w, of which the
+    # search walks the 2 residue classes mod 13 that can solve; a budget
+    # charged for whole boxes ran out near x = 9, below the Holzer bound 14
+    x, y, z = solve_legendre(1000000001389, -13, -17)
+    assert (x, y, z) == (9, 2496122, 10501)
+    assert 1000000001389 * x * x - 13 * y * y - 17 * z * z == 0
+
+
 def _brute_force_zeros(c1, c2, c3, x_max):
     # every primitive nonnegative zero with 1 <= x <= x_max, found by
     # running over y whatever the coefficient sizes, sorted afterwards

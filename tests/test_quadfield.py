@@ -67,6 +67,43 @@ def test_pell_period_end_matches_per_step_norm():
         assert (unit.u, abs(unit.v)) == _pell_by_norm(p), p
 
 
+def _pell_per_step(p):
+    """The unit from half the period with both convergents carried as big
+    integers at every step, and the number s of partial quotients used."""
+    a0 = math.isqrt(p)
+    h_prev, h, k_prev, k = 1, a0, 0, 1
+    m, den, s = 0, 1, 1
+    while True:
+        m = den * ((a0 + m) // den) - m
+        den_prev, den = den, (p - m * m) // den
+        if den == den_prev:
+            u, v = h * k + h_prev * k_prev, k * k + k_prev * k_prev
+            return (u, v if (v - u) % 4 == 1 else -v), s
+        a = (a0 + m) // den
+        h_prev, h = h, a * h + h_prev
+        k_prev, k = k, a * k + k_prev
+        s += 1
+
+
+def test_blocked_pell_matches_per_step_recurrence():
+    for p in primes_in_range(5, 2 * 10**5):
+        if p % 4 == 1:
+            unit = pell_negative_unit(p)
+            assert (unit.u, unit.v) == _pell_per_step(p)[0], p
+    for p in (10000253, 100000037, 100000049, 100000073):
+        unit = pell_negative_unit(p)
+        assert (unit.u, unit.v) == _pell_per_step(p)[0], p
+    # half periods at the edges of the 32-quotient blocks, of one and of
+    # two blocks, and the period-1 primes, whose one block has one quotient
+    edges = {1: (5, 17, 37, 101), 31: (2053,), 32: (1801,), 33: (2293,), 63: (4621,), 64: (6781,), 65: (8389,)}
+    for s, primes in edges.items():
+        for p in primes:
+            want, steps = _pell_per_step(p)
+            assert steps == s, (p, steps)
+            unit = pell_negative_unit(p)
+            assert (unit.u, unit.v) == want, p
+
+
 def test_pell_is_fundamental():
     # no smaller positive solution below the returned one
     for p in (5, 13, 17, 29, 37, 41):
