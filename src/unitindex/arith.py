@@ -157,7 +157,7 @@ def _sieve_upto(n: int) -> list[int]:
     return list(itertools.compress(range(n + 1), flags))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SquarefreeD:
     """A squarefree integer with its ascending prime factorization."""
 

@@ -11,8 +11,8 @@ alarm instead of picking a side.
 
 Facts that depend on p only through its split set (membership, the
 structure tuple, the splitting d = a*b and its cross sign) live in a per-d
-DContext, computed once per split set.  p is proven prime in _classify and
-d's factors by factor_squarefree, so the routes call unchecked kernels.
+DContext, computed once per split set.  p is proven by the sieve or in
+_classify, d's factors by factor_squarefree: routes call unchecked kernels.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .arith import SquarefreeD, factor_squarefree, is_prime
+from .arith import SquarefreeD, factor_squarefree, is_prime, primes_in_range
 from .construction import (
     MODE_DECOMPOSITION,
     Decomposition,
@@ -35,6 +35,7 @@ from .errors import OutOfScopeM, PreconditionViolated, UnitIndexError
 from .gaussian import GaussInt, _quad_symbol, _split_primary, split_primary
 from .quadfield import _pell_negative_unit
 from .redei import (
+    _ordered_factors,
     extended_residue_matrix,
     ordered_factors,
     rank_and_kernel,
@@ -43,7 +44,7 @@ from .redei import (
 from .symbols import _fpr, quartic_cross_product
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrimeVerdict:
     """Everything decided about one prime p relative to a fixed d.
 
@@ -132,6 +133,16 @@ class DContext:
     _decompositions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _cross: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _primaries: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _sieved: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def candidates(self, lo: int, hi: int):
+        """Yield each prime lo <= p <= hi with p = 1 (mod 4) and p not dividing
+        d; the sieve proved it, so _classify trusts the last one yielded."""
+        d = self.sd.d
+        for p in primes_in_range(lo, hi):
+            if p % 4 == 1 and d % p:
+                object.__setattr__(self, "_sieved", p)
+                yield p
 
     def membership(self, split: tuple[int, ...], p: int) -> tuple[int, tuple | None]:
         """Composite 4-rank of d*p and the predicted (rk2, rk4, rk8, h_plus)
@@ -178,14 +189,14 @@ def _context(d: int | SquarefreeD | DContext) -> DContext:
 
 def _classify(ctx: DContext, p: int) -> tuple[dict, tuple[int, ...]]:
     """The one per-prime pass: the PrimeVerdict fields of classify() (reason
-    absent when empty) plus the split set of p.  p is proven prime once:
-    here if rejected early, else by ordered_factors."""
-    if p < 2 or ctx.sd.d % p == 0 or p % 4 != 1:
-        if not is_prime(p):
-            raise PreconditionViolated(f"{p} is not prime")
+    absent when empty) plus the split set of p.  p is proven prime here,
+    once, unless the context's sieve yielded it."""
+    if p != ctx._sieved and not is_prime(p):
+        raise PreconditionViolated(f"{p} is not prime")
+    if ctx.sd.d % p == 0 or p % 4 != 1:
         reason = "p divides d" if ctx.sd.d % p == 0 else "p = 3 (mod 4)"
         return {"p": p, "m": None, "in_P": False, "reason": reason}, ()
-    split, _ = ordered_factors(ctx.sd, p)
+    split, _ = _ordered_factors(ctx.sd, p)
     m = len(split)
     r4, structure = ctx.membership(split, p)
     if r4 != 0:

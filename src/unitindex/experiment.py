@@ -22,7 +22,7 @@ from multiprocessing import get_all_start_methods, get_context
 from types import SimpleNamespace
 
 from . import __version__
-from .arith import factor_squarefree, primes_in_range
+from .arith import factor_squarefree
 from .criterion import DContext, PrimeVerdict, evaluate
 from .errors import PreconditionViolated
 from .qfclassgroup import HypothesisReport, verify_hypotheses
@@ -139,13 +139,9 @@ def _context(d: int) -> DContext:
 def _scan_chunk(args: tuple[int, int, int, int]) -> list[dict]:
     d, lo, hi, seed = args
     ctx = _context(d)
-    out = []
-    for p in primes_in_range(lo, hi):
-        if p % 4 != 1 or d % p == 0:
-            continue
-        v = evaluate(ctx, p, construction_check=_sampled(p, seed))
-        out.append(record_of(v))
-    return out
+    return [
+        record_of(evaluate(ctx, p, construction_check=_sampled(p, seed))) for p in ctx.candidates(lo, hi)
+    ]
 
 
 def _chunk_ranges(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:

@@ -14,7 +14,7 @@ from .arith import is_prime
 from .errors import NonRealSymbolProduct, NotCoprime, NotSplit, PreconditionViolated
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GaussInt:
     """An element re + im*i of Z[i]."""
 

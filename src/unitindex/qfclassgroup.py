@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import SquarefreeD, factor_squarefree, jacobi
+from .arith import SquarefreeD, _sieve_upto, factor_squarefree, jacobi
 from .errors import (
     IterationLimitExceeded,
     NotSquarefree,
@@ -46,13 +46,18 @@ class HypothesisReport:
     passed: bool
 
 
-def _divisors(n: int) -> list[int]:
-    divs = []
-    for a in range(1, math.isqrt(n) + 1):
-        if n % a == 0:
-            divs.append(a)
-            if a * a != n:
-                divs.append(n // a)
+def _divisors(n: int, primes: list[int]) -> list[int]:
+    """Sorted divisors of n > 0 from its factorization over primes up to sqrt(n)."""
+    divs = [1]
+    for q in primes:
+        if q * q > n:
+            break
+        k = len(divs)
+        while n % q == 0:
+            n //= q
+            divs += [a * q for a in divs[-k:]]
+    if n > 1:
+        divs += [a * n for a in divs]
     return sorted(divs)
 
 
@@ -114,9 +119,10 @@ class _FormTable:
     def _enumerate(self) -> None:
         D = self.D
         forms = []
+        primes = _sieve_upto(math.isqrt(D // 4))
         for b in range(2 - (D & 1), self.isq + 1, 2):
             n = (D - b * b) // 4
-            for a in _divisors(n):
+            for a in _divisors(n, primes):
                 if not self._is_reduced_pair(a, b):
                     continue
                 c = n // a

@@ -135,14 +135,11 @@ def splitting(q: int, p: int) -> str:
 
 
 def _splitting(q: int, p: int) -> str:
-    """splitting() for primes the caller has already proven; q = p ramifies."""
+    """splitting() for proven primes, q = p ramified; odd q by Euler's criterion."""
     if q == 2:
-        if p % 8 == 1:
-            return SPLIT
-        if p % 8 == 5:
-            return INERT
-        return RAMIFIED
-    return {1: SPLIT, -1: INERT}.get(jacobi(p, q), RAMIFIED)
+        return SPLIT if p % 8 == 1 else INERT if p % 8 == 5 else RAMIFIED
+    r = pow(p % q, (q - 1) // 2, q)
+    return SPLIT if r == 1 else INERT if r else RAMIFIED
 
 
 def residue_symbol(alpha: KpElement, q: int, which: str = FIRST, flip_root: bool = False) -> int:

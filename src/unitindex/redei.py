@@ -112,6 +112,11 @@ def ordered_factors(sd: SquarefreeD, p: int) -> tuple[tuple[int, ...], tuple[int
     proven prime here; the factors of sd are trusted (factor_squarefree)."""
     if not is_prime(p):
         raise PreconditionViolated(f"{p} is not prime")
+    return _ordered_factors(sd, p)
+
+
+def _ordered_factors(sd: SquarefreeD, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """ordered_factors() for a p the caller has already proven prime."""
     split = []
     inert = []
     for q in sd.factors:

@@ -12,7 +12,7 @@ import pytest
 
 import unitindex
 from unitindex import arith, criterion, experiment
-from unitindex.arith import primes_in_range
+from unitindex.arith import factor_squarefree, primes_in_range
 from unitindex.errors import PreconditionViolated
 from unitindex.experiment import (
     _CSV_FIELDS,
@@ -27,6 +27,7 @@ from unitindex.experiment import (
     summarize,
 )
 from unitindex.qfclassgroup import verify_hypotheses
+from unitindex.redei import ordered_factors
 
 
 def scan(d, X, **kw):
@@ -238,10 +239,11 @@ def test_construction_sample_share_is_about_one_in_64_for_every_seed():
 
 
 def test_scan_splits_each_prime_once_and_fills_tables_per_split_set(monkeypatch):
-    # counted at the names criterion calls; find_decomposition's own
-    # internal split happens inside the bounded table fills
+    # counted at the names criterion calls, the split at its proof-free
+    # kernel; find_decomposition's own internal split happens inside the
+    # bounded table fills
     calls = {
-        "ordered_factors": 0,
+        "_ordered_factors": 0,
         "redei_rank4": 0,
         "find_decomposition": 0,
         "quartic_cross_product": 0,
@@ -277,33 +279,92 @@ def test_scan_splits_each_prime_once_and_fills_tables_per_split_set(monkeypatch)
         calls.update(dict.fromkeys(calls, 0))
         chunks[0] = 0
         _, records = scan(1105, 20000, workers=1)
-        assert calls["ordered_factors"] == len(records) > 1000
+        assert calls["_ordered_factors"] == len(records) > 1000
         assert chunks[0] > 1
         for name in ("redei_rank4", "find_decomposition", "quartic_cross_product"):
             assert 0 < calls[name] <= 1 << 3, name
         assert 0 < calls["split_primary"] <= len(factors)
 
 
-def test_scan_proves_each_prime_about_once(monkeypatch):
-    # counted at every module that binds is_prime, so no caller is missed;
-    # what remains above one call per candidate is the per-scan table fills
-    # and the sampled construction checks
-    calls = [0]
+def test_scan_never_reproves_a_sieve_prime(monkeypatch):
+    # counted at every module that binds is_prime, so no caller is missed.
+    # The scan's candidates come from the sieve; only the sampled
+    # construction checks and the split-set table fills (find_decomposition,
+    # a public function that proves p) may prove one again
     inner = arith.is_prime
+    calls = []
+    inside = [None]
 
     def counting(n):
-        calls[0] += 1
+        calls.append((n, inside[0]))
         return inner(n)
 
     for info in pkgutil.iter_modules(unitindex.__path__):
         module = importlib.import_module(f"unitindex.{info.name}")
         if getattr(module, "is_prime", None) is inner:
             monkeypatch.setattr(module, "is_prime", counting)
+
+    def marking(name):
+        fn = getattr(criterion, name)
+
+        def wrapper(*args, **kwargs):
+            inside[0] = name
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside[0] = None
+
+        monkeypatch.setattr(criterion, name, wrapper)
+
+    marking("_construction_real")
+    marking("find_decomposition")
     for d in (65, 2371330):
-        calls[0] = 0
+        calls.clear()
         _, records = scan(d, 20000, workers=1)
         assert len(records) > 1000
-        assert calls[0] < 2.5 * len(records), (d, calls[0], len(records))
+        candidates = {r["p"] for r in records}
+        on_candidates = [seam for n, seam in calls if n in candidates]
+        assert on_candidates.count(None) == 0, d
+        fills = on_candidates.count("find_decomposition")
+        assert 0 < fills <= 2 << factor_squarefree(d).t, (d, fills)
+        assert on_candidates.count("_construction_real") > 0, d
+        # what is left is the per-scan table fills and the sampled checks
+        assert len(calls) < 0.2 * len(records), (d, len(calls), len(records))
+
+
+def _composites_near(c):
+    """Every composite within 100 of c, then c times two primes."""
+    return [n for n in range(c - 100, c + 101) if n > 1 and not arith.is_prime(n)] + [c * c, c * 29]
+
+
+def _assert_proves(ctx, composites):
+    # the n = 1 (mod 4) coprime to d are the ones that reach the split
+    assert sum(n % 4 == 1 and math.gcd(n, ctx.sd.d) == 1 for n in composites) > 10
+    for n in composites:
+        assert not arith.is_prime(n)
+        with pytest.raises(PreconditionViolated, match="not prime"):
+            ordered_factors(ctx.sd, n)
+    for n in [0, 1, *composites]:
+        with pytest.raises(PreconditionViolated, match="not prime"):
+            criterion.evaluate(ctx, n)
+        with pytest.raises(PreconditionViolated, match="not prime"):
+            criterion.classify(ctx, n)
+
+
+def test_trust_stays_with_the_sieve():
+    # before and after a scan, and between two candidates of a running
+    # one, the context still proves every other n it is handed
+    _assert_proves(criterion.DContext(factor_squarefree(65)), _composites_near(101))
+    scan(65, 20000, workers=1)
+    ctx = experiment._context(65)
+    last = ctx._sieved
+    assert last is not None and arith.is_prime(last)
+    _assert_proves(ctx, _composites_near(last))
+    running = ctx.candidates(1001, 2000)
+    first = next(running)
+    _assert_proves(ctx, _composites_near(first) + _composites_near(last) + [first * last])
+    assert criterion.evaluate(ctx, first) == criterion.evaluate(65, first)
+    assert list(running)
 
 
 def test_scan_builds_one_verdict_per_candidate(monkeypatch):

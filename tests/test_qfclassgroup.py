@@ -1,11 +1,13 @@
+import math
 import random
 
 import pytest
 
-from unitindex.arith import factor_squarefree
+from unitindex.arith import _sieve_upto, factor_squarefree
 from unitindex.errors import NotSquarefree, PreconditionViolated
 from unitindex.qfclassgroup import (
     ClassGroup2Sylow,
+    _divisors,
     _FormTable,
     _fundamental_discriminant,
     narrow_class_group,
@@ -111,6 +113,24 @@ def test_verify_hypotheses():
     assert rep34.admissible and not rep34.passed and rep34.rank4_matrix == 1
     rep15 = verify_hypotheses(15)
     assert not rep15.admissible and not rep15.passed
+
+
+def _trial_divisors(n):
+    """Divisors of n by trial division up to sqrt(n), kept here as the oracle."""
+    small = [a for a in range(1, math.isqrt(n) + 1) if n % a == 0]
+    return sorted(set(small + [n // a for a in small]))
+
+
+@pytest.mark.parametrize("d", [65, 1105, 32045, 1185665, 2371330])
+def test_divisors_from_factorization_match_trial_division(d):
+    # every n = (D - b^2)/4 that the form table of verify_hypotheses(d) lists
+    D = _fundamental_discriminant(d)
+    primes = _sieve_upto(math.isqrt(D // 4))
+    bs = range(2 - (D & 1), math.isqrt(D) + 1, 2)
+    for b in bs:
+        n = (D - b * b) // 4
+        assert _divisors(n, primes) == _trial_divisors(n), (D, b)
+    assert verify_hypotheses(d).rank4_oracle == 0
 
 
 def test_rejects_bounds_and_bad_input():

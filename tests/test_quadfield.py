@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from unitindex.arith import jacobi, primes_in_range, sqrt_mod
+from unitindex.arith import factor_squarefree, jacobi, primes_in_range, sqrt_mod
 from unitindex.errors import NoNegativeNormUnit, NotCoprime, PreconditionViolated
 from unitindex.quadfield import (
     CONJUGATE,
@@ -13,6 +13,7 @@ from unitindex.quadfield import (
     SPLIT,
     KpElement,
     PellUnit,
+    _splitting,
     pell_negative_unit,
     residue_symbol,
     splitting,
@@ -142,6 +143,29 @@ def test_splitting_matches_jacobi():
         if q == p:
             continue
         assert splitting(q, p) == (SPLIT if jacobi(p, q) == 1 else INERT)
+
+
+def _jacobi_splitting(q, p):
+    """The split rule by the Jacobi symbol (p/q), kept here as the oracle."""
+    if q == 2:
+        if p % 8 == 1:
+            return SPLIT
+        if p % 8 == 5:
+            return INERT
+        return RAMIFIED
+    return {1: SPLIT, -1: INERT}.get(jacobi(p, q), RAMIFIED)
+
+
+def test_euler_splitting_matches_the_jacobi_rule():
+    # every factor of the scanned d (the dyadic one included) against every
+    # prime p <= 10^5, and the ramified case q = p
+    factors = sorted({q for d in (65, 1105, 32045, 1185665, 2371330) for q in factor_squarefree(d).factors})
+    assert factors == [2, 5, 13, 17, 29, 37]
+    primes = list(primes_in_range(2, 10**5))
+    for q in factors:
+        assert _splitting(q, q) == _jacobi_splitting(q, q) == RAMIFIED
+        for p in primes:
+            assert _splitting(q, p) == _jacobi_splitting(q, p), (q, p)
 
 
 def test_kp_element_basics():
