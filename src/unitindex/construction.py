@@ -24,8 +24,8 @@ from .errors import (
     PreconditionViolated,
 )
 from .quadfield import SPLIT, KpElement, PellUnit, splitting
-from .redei import ordered_factors, rank_and_kernel, split_residue_matrix
-from .symbols import INFINITY, _hilbert, hilbert
+from .redei import _split_residue_matrix, ordered_factors, rank_and_kernel
+from .symbols import INFINITY, _hilbert
 
 MODE_DECOMPOSITION = "decomposition"  # p*x^2 - a*y^2 - b*z^2 = 0
 MODE_SPLIT = "split"  # x^2 - p*y^2 - a*z^2 = 0 (b unused)
@@ -234,7 +234,7 @@ def find_decomposition(d: int | SquarefreeD, p: int) -> Decomposition:
         raise PreconditionViolated(
             f"need exactly two nonsplit factors, got {t - len(split)}"
         )
-    _, kernel_basis = rank_and_kernel(split_residue_matrix(sd, p))
+    _, kernel_basis = rank_and_kernel(_split_residue_matrix(sd, split, inert))
     masks = sorted(
         {
             _combine(kernel_basis, pick)
@@ -243,7 +243,8 @@ def find_decomposition(d: int | SquarefreeD, p: int) -> Decomposition:
     )
     full = (1 << t) - 1
     two_bit = 1 << ordered.index(2) if sd.d % 2 == 0 else 0
-    places: list[int | str] = [INFINITY, 2, p] + [q for q in sd.factors if q % 2]
+    # a*p, b*p > 0 never obstruct at the real place; p is proven above
+    places = [2, p] + [q for q in sd.factors if q % 2]
     for mask in masks:
         if mask in (0, full):
             continue
@@ -256,7 +257,7 @@ def find_decomposition(d: int | SquarefreeD, p: int) -> Decomposition:
         b = sd.d // a
         if jacobi(a, p) != -1 or jacobi(b, p) != -1:
             continue
-        if all(hilbert(a * p, b * p, r) == 1 for r in places):
+        if all(_hilbert(a * p, b * p, r) == 1 for r in places):
             exps = tuple(mask >> i & 1 for i in range(t))
             return Decomposition(a, b, ordered, exps)
     raise NoDecomposition(f"no validated splitting of {sd.d} for p = {p}")

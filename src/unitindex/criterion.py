@@ -69,7 +69,8 @@ class PrimeVerdict:
     alarms: tuple[str, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "alarms", tuple(self.alarms))
+        if type(self.alarms) is not tuple:
+            object.__setattr__(self, "alarms", tuple(self.alarms))
         for q in (self.q_direct, self.q_governing):
             if q not in (None, 1, 2):
                 raise PreconditionViolated(f"index must be 1 or 2, got {q!r}")
@@ -200,12 +201,10 @@ def _classify(ctx: DContext, p: int) -> tuple[dict, tuple[int, ...]]:
     m = len(split)
     r4, structure = ctx.membership(split, p)
     if r4 != 0:
-        fields = {"in_P": False, "reason": f"composite 4-rank is {r4}"}
-    elif m == ctx.sd.t:
-        fields = {"in_P": True, "reason": "every factor splits; out of family"}
-    else:
-        fields = {"in_P": True, "structure": structure}
-    return {"p": p, "m": m, **fields}, split
+        return {"p": p, "m": m, "in_P": False, "reason": f"composite 4-rank is {r4}"}, split
+    if m == ctx.sd.t:
+        return {"p": p, "m": m, "in_P": True, "reason": "every factor splits; out of family"}, split
+    return {"p": p, "m": m, "in_P": True, "structure": structure}, split
 
 
 def _member(ctx: DContext, p: int, scope) -> tuple[dict, tuple[int, ...]]:
@@ -237,7 +236,10 @@ def classify(d: int | SquarefreeD, p: int) -> PrimeVerdict:
 
 
 def _e_real(p: int, split: tuple[int, ...]) -> bool:
-    return all(_fpr(p, q) * _fpr(q, p) == 1 for q in split)
+    for q in split:
+        if _fpr(p, q) != _fpr(q, p):
+            return False
+    return True
 
 
 def e_totally_real(d: int | SquarefreeD, p: int) -> bool:
@@ -344,16 +346,19 @@ def evaluate(d: int | SquarefreeD | DContext, p: int, construction_check: bool =
     ctx = _context(d)
     sd = ctx.sd
     fields, split = _classify(ctx, p)
-    m = fields["m"]
+    m, in_P, reason = fields["m"], fields["in_P"], fields.get("reason", "")
+    # verdicts are built positionally, in PrimeVerdict's field order
     if m is None:
-        return PrimeVerdict(**fields)
+        return PrimeVerdict(p, m, in_P, reason)
     # E-reality is a property of (d, p) alone; record it even when the
     # 4-rank filter rejects p, so density denominators are the full m-cell
     e_real = _e_real(p, split)
-    if not fields["in_P"] or m not in (sd.t - 1, sd.t - 2):
-        if fields["in_P"] and m < sd.t - 2:
-            fields["reason"] = "index not asserted for m <= t-3"
-        return PrimeVerdict(**fields, e_totally_real=e_real)
+    t = sd.t
+    structure = fields.get("structure")
+    if not in_P or m not in (t - 1, t - 2):
+        if in_P and m < t - 2:
+            reason = "index not asserted for m <= t-3"
+        return PrimeVerdict(p, m, in_P, reason, e_real, None, None, structure)
 
     alarms: list[str] = []
     q_direct: int | None = None
@@ -368,7 +373,7 @@ def evaluate(d: int | SquarefreeD | DContext, p: int, construction_check: bool =
         if isinstance(exc, PreconditionViolated) and sd.d % 2 == 0 and p % 8 == 5:
             # the dyadic block makes b = p = 5 (mod 8), outside the domain
             # of the even-case cross product; documented, not alarming
-            fields["reason"] = "governing route undefined: b = 5 (mod 8)"
+            reason = "governing route undefined: b = 5 (mod 8)"
         else:
             alarms.append(f"governing route: {exc}")
     if q_direct is not None and q_governing is not None and q_direct != q_governing:
@@ -376,7 +381,7 @@ def evaluate(d: int | SquarefreeD | DContext, p: int, construction_check: bool =
     # present once a route found the splitting (only ever for m = t-2)
     dec = ctx._decompositions.get(split)
 
-    if construction_check and m == sd.t - 2 and dec is not None and q_direct is not None:
+    if construction_check and m == t - 2 and dec is not None and q_direct is not None:
         try:
             beta_real = _construction_real(sd, p, dec)
             if (q_direct == 2) != (e_real and beta_real):
@@ -387,14 +392,7 @@ def evaluate(d: int | SquarefreeD | DContext, p: int, construction_check: bool =
         except UnitIndexError as exc:
             alarms.append(f"construction check: {exc}")
 
-    return PrimeVerdict(
-        **fields,
-        e_totally_real=e_real,
-        q_direct=q_direct,
-        q_governing=q_governing,
-        decomposition=dec,
-        alarms=tuple(alarms),
-    )
+    return PrimeVerdict(p, m, in_P, reason, e_real, q_direct, q_governing, structure, dec, tuple(alarms))
 
 
 def generalized_rank_check(d: int | SquarefreeD, p: int, flip_root: bool = False) -> RankCheck:

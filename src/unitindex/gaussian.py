@@ -84,10 +84,14 @@ def split_primary(p: int, flip: bool = False) -> GaussInt:
 def _split_primary(p: int, flip: bool) -> GaussInt:
     """split_primary() for a prime p = 1 (mod 4) the caller has already proven."""
     # Cornacchia: descend from a square root of -1, c^((p-1)/4) for the least
-    # non-residue c (x^2 + y^2 = p has one solution up to order and sign)
+    # non-residue c (x^2 + y^2 = p has one solution up to order and sign).
+    # 2 is a residue mod p = 1 (mod 8).  For a prime p, r^2 = (c/p) = +-1; a
+    # composite p gives another value by c = its least prime factor at the latest
     q = (p - 1) // 4
-    c = 2
-    while (r := pow(c, q, p)) * r % p != p - 1:
+    c = 3 if p % 8 == 1 else 2
+    while (e := (r := pow(c, q, p)) * r % p) != p - 1:
+        if e != 1:
+            raise PreconditionViolated(f"{p} is not prime")
         c += 1
     a, b = p, r
     while b * b > p:

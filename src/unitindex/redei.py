@@ -143,7 +143,11 @@ def split_residue_matrix(sd: SquarefreeD, p: int) -> F2Matrix:
     Kernel vectors are exactly the exponent patterns of factorizations
     d = a*b for which a is a square modulo every split prime.
     """
-    split, inert = ordered_factors(sd, p)
+    return _split_residue_matrix(sd, *ordered_factors(sd, p))
+
+
+def _split_residue_matrix(sd: SquarefreeD, split: tuple[int, ...], inert: tuple[int, ...]) -> F2Matrix:
+    """split_residue_matrix() from the split order of a p already proven prime."""
     order = split + inert
     rows = []
     for qi in split:
@@ -272,7 +276,7 @@ def extended_residue_matrix(
         reduced_rows[m + i] ^= reduced_rows[i]
     reduced = F2Matrix(tuple(reduced_rows), size)
 
-    rational = split_residue_matrix(sd, p)
+    rational = _split_residue_matrix(sd, split, inert)
     _check_block_structure(reduced, rational, m, t)
     return ExtendedMatrices(raw=raw, reduced=reduced, rational=rational, split=split, inert=inert)
 

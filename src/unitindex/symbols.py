@@ -45,10 +45,11 @@ def _fpr(a: int, ell: int) -> int:
     r = a % ell
     if r == 0:
         raise NotCoprime(f"{a} is divisible by {ell}")
-    if jacobi(r, ell) != 1:
+    # c = r^((ell-1)/4) or r^((ell-1)/2); Euler's criterion reads c^2 or c
+    c = pow(r, (ell - 1) // math.gcd(ell - 1, 4), ell)
+    if (c * c % ell if ell % 4 == 1 else c) != 1:
         raise PreconditionViolated(f"{r} is not a square mod {ell}")
-    e = (ell - 1) // math.gcd(ell - 1, 4)
-    return 1 if pow(r, e, ell) == 1 else -1
+    return 1 if c == 1 else -1
 
 
 def fpr_product(a: int, moduli) -> int:

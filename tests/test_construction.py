@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from unitindex import arith, construction, criterion, gaussian, quadfield, redei, symbols
 from unitindex.arith import factor_squarefree, primes_in_range
 from unitindex.construction import (
     MODE_DECOMPOSITION,
@@ -189,6 +190,32 @@ def test_find_decomposition_sweep():
             assert p * x * x == dec.a * y * y + dec.b * z * z
             found += 1
     assert found >= 30
+
+
+def test_find_decomposition_proves_p_once(monkeypatch):
+    proofs = []
+    real = arith.is_prime
+
+    def counting(n):
+        proofs.append(n)
+        return real(n)
+
+    for mod in (arith, construction, criterion, gaussian, quadfield, redei, symbols):
+        monkeypatch.setattr(mod, "is_prime", counting)
+    calls = 0
+    for d in (65, 1105, 1185665, 2371330):
+        sd = factor_squarefree(d)
+        for p in primes_in_range(5, 3000):
+            if p % 4 != 1 or d % p == 0:
+                continue
+            v = classify(sd, p)
+            if not v.in_P or v.m != sd.t - 2:
+                continue
+            proofs.clear()
+            find_decomposition(sd, p)
+            assert proofs.count(p) == 1, (d, p, proofs)
+            calls += 1
+    assert calls > 100
 
 
 def test_decomposition_exponent_check():

@@ -1,12 +1,14 @@
 import random
+import signal
 
 import pytest
 
-from unitindex.arith import primes_in_range, sqrt_mod
+from unitindex.arith import is_prime, primes_in_range, sqrt_mod
 from unitindex.errors import NonRealSymbolProduct, NotCoprime, NotSplit, PreconditionViolated
 from unitindex.gaussian import (
     GaussInt,
     QuarticValue,
+    _split_primary,
     embedding_of_i,
     quad_symbol,
     quartic_symbol,
@@ -101,6 +103,34 @@ def test_split_primary_rejects():
         split_primary(7)
     with pytest.raises(PreconditionViolated):
         split_primary(15)
+
+
+def test_split_primary_kernel_ends_on_composites():
+    # the kernel trusts its caller to have proven p; a composite must raise
+    # or return, never loop (each call runs under a 2 s alarm)
+    def hung(signum, frame):
+        raise TimeoutError("_split_primary did not return")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    try:
+        for n in range(9, 2 * 10**4, 4):
+            if is_prime(n):
+                continue
+            for flip in (False, True):
+                signal.alarm(2)
+                try:
+                    pi = _split_primary(n, flip)
+                except PreconditionViolated as exc:
+                    assert str(exc) == f"{n} is not prime"
+                else:
+                    assert pi.norm() == n
+                finally:
+                    signal.alarm(0)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    for n in (9, 21, 25, 45, 561, 4033, 8321):
+        with pytest.raises(PreconditionViolated, match="is not prime"):
+            _split_primary(n, False)
 
 
 def test_embedding_of_i():

@@ -1,9 +1,10 @@
+import math
 import random
 
 import pytest
 
-from unitindex.arith import jacobi, primes_in_range
-from unitindex.errors import NotCoprime, PreconditionViolated
+from unitindex.arith import factor_squarefree, jacobi, primes_in_range
+from unitindex.errors import NotCoprime, PreconditionViolated, UnitIndexError
 from unitindex.symbols import INFINITY, quartic_cross_product, fpr, fpr_product, hilbert
 
 
@@ -73,6 +74,52 @@ def test_fpr_fourth_power_detection():
         squares = {pow(x, 2, ell) for x in range(1, ell)}
         for a in squares - fourth:
             assert fpr(a, ell) == -1
+
+
+def _fpr_reference(a, ell):
+    """fpr at a prime ell by the Jacobi-then-power rule: the Jacobi symbol
+    refuses a non-square, then one power decides the fourth power."""
+    if ell == 2:
+        if a % 8 != 1:
+            raise PreconditionViolated(f"{a} is not 1 (mod 8)")
+        return 1 if a % 16 == 1 else -1
+    r = a % ell
+    if r == 0:
+        raise NotCoprime(f"{a} is divisible by {ell}")
+    if jacobi(r, ell) != 1:
+        raise PreconditionViolated(f"{r} is not a square mod {ell}")
+    e = (ell - 1) // math.gcd(ell - 1, 4)
+    return 1 if pow(r, e, ell) == 1 else -1
+
+
+def _outcome(f, a, ell):
+    try:
+        return f(a, ell)
+    except UnitIndexError as exc:
+        return type(exc), str(exc)
+
+
+def test_fpr_matches_jacobi_then_power_reference():
+    # every residue a mod every prime ell < 2000, a = 0 included (mod 16 at
+    # ell = 2): values, exception classes and messages must all agree
+    kinds = set()
+    for ell in primes_in_range(2, 2000):
+        for a in range(max(ell, 16)):
+            got = _outcome(fpr, a, ell)
+            assert got == _outcome(_fpr_reference, a, ell), (a, ell)
+            kinds.add(got if got in (1, -1) else got[0])
+    assert kinds == {1, -1, NotCoprime, PreconditionViolated}
+
+
+def test_fpr_matches_reference_at_scanned_primes():
+    # the scan's arguments: ell = p, a = each factor of a scanned d or d
+    moduli = set()
+    for d in (65, 1105, 32045, 1185665, 2371330):
+        moduli.update(factor_squarefree(d).factors + (d,))
+    for p in primes_in_range(5, 10**5):
+        if p % 4 == 1:
+            for a in moduli:
+                assert _outcome(fpr, a, p) == _outcome(_fpr_reference, a, p), (a, p)
 
 
 def test_hilbert_archimedean():
