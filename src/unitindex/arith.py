@@ -10,7 +10,7 @@ import bisect
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import CompositeResidualFactor, NoSquareRoot, NotSquarefree, PreconditionViolated
 
@@ -163,10 +163,10 @@ class SquarefreeD:
 
     d: int
     factors: tuple[int, ...]
+    t: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def t(self) -> int:
-        return len(self.factors)
+    def __post_init__(self):
+        object.__setattr__(self, "t", len(self.factors))
 
     @property
     def admissible(self) -> bool:

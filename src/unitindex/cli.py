@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import PreconditionViolated
+from .errors import PreconditionViolated, UnitIndexError
 from .experiment import ScanConfig, report, run_scan
 
 _CONFIG_KEYS = ("d", "X", "m", "workers", "out", "format", "checkpoint", "seed")
@@ -89,7 +89,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = build_config(args)
         summary, records = run_scan(cfg)
-    except (PreconditionViolated, OSError) as exc:
+    except (UnitIndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

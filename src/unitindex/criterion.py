@@ -5,9 +5,9 @@ The direct route works in rational arithmetic: fourth-power residue
 conditions at the split factors of d, plus a three-factor symbol product
 over a two-block splitting d = a*b when exactly two factors are inert.
 The governing route re-derives the same verdict from quadratic symbols of
-primary Gaussian primes against a primary prime over p.  The two must
-agree on every evaluated prime; evaluate() records a disagreement as an
-alarm instead of picking a side.
+primary Gaussian primes modulo a prime over p, read through a square root
+of -1 mod p.  The two must agree on every evaluated prime; evaluate()
+records a disagreement as an alarm instead of picking a side.
 
 Facts that depend on p only through its split set (membership, the
 structure tuple, the splitting d = a*b and its cross sign) live in a per-d
@@ -32,7 +32,7 @@ from .construction import (
     totally_real,
 )
 from .errors import OutOfScopeM, PreconditionViolated, UnitIndexError
-from .gaussian import GaussInt, _quad_symbol, _split_primary, split_primary
+from .gaussian import GaussInt, _sqrt_minus_one, split_primary
 from .quadfield import _pell_negative_unit
 from .redei import (
     _ordered_factors,
@@ -268,12 +268,22 @@ def _direct_index(ctx: DContext, p: int, split: tuple[int, ...], e_real: bool) -
 
 
 def _governing_index(ctx: DContext, p: int, split: tuple[int, ...], flip: bool) -> int:
-    pi = _split_primary(p, flip)
-    e_real = all(_quad_symbol(ctx.primary(q, flip), pi) == 1 for q in split)
+    # (rho/pi) reads rho in Z[i]/(pi) = F_p, with i at a root r of -1; pi and
+    # its conjugate (r and -r) give the same symbol, since for split q the two
+    # multiply to (q/p) = 1 and at m = t-2 d's two inert factors give (-1)^2
+    r, half = _sqrt_minus_one(p), (p - 1) // 2
+    r = p - r if flip else r
+    e_real = True
+    for q in split:
+        rho = ctx.primary(q, flip)
+        if pow((rho.re + rho.im * r) % p, half, p) != 1:
+            e_real = False
+            break
     if len(split) == ctx.sd.t - 1:
         return 2 if e_real else 1
     dec = ctx.decomposition(split, p)
-    deeper_real = _quad_symbol(ctx.primary(ctx.sd.d, flip), pi) == -ctx.cross(dec, flip)
+    rho = ctx.primary(ctx.sd.d, flip)
+    deeper_real = (pow((rho.re + rho.im * r) % p, half, p) == 1) == (ctx.cross(dec, flip) == -1)
     return 2 if e_real and deeper_real else 1
 
 

@@ -81,10 +81,8 @@ def split_primary(p: int, flip: bool = False) -> GaussInt:
     return _split_primary(p, flip)
 
 
-def _split_primary(p: int, flip: bool) -> GaussInt:
-    """split_primary() for a prime p = 1 (mod 4) the caller has already proven."""
-    # Cornacchia: descend from a square root of -1, c^((p-1)/4) for the least
-    # non-residue c (x^2 + y^2 = p has one solution up to order and sign).
+def _sqrt_minus_one(p: int) -> int:
+    """sqrt(-1) mod a proven prime p = 1 (mod 4): c^((p-1)/4), c the least non-residue."""
     # 2 is a residue mod p = 1 (mod 8).  For a prime p, r^2 = (c/p) = +-1; a
     # composite p gives another value by c = its least prime factor at the latest
     q = (p - 1) // 4
@@ -93,7 +91,13 @@ def _split_primary(p: int, flip: bool) -> GaussInt:
         if e != 1:
             raise PreconditionViolated(f"{p} is not prime")
         c += 1
-    a, b = p, r
+    return r
+
+
+def _split_primary(p: int, flip: bool) -> GaussInt:
+    """split_primary() for a prime p = 1 (mod 4) the caller has already proven."""
+    # Cornacchia: x^2 + y^2 = p has one solution up to order and sign
+    a, b = p, _sqrt_minus_one(p)
     while b * b > p:
         a, b = b, a % b
     x, y = b, a % b
@@ -128,7 +132,7 @@ def quartic_symbol(alpha: GaussInt | int, pi: GaussInt) -> QuarticValue:
         raise PreconditionViolated(f"N({pi}) = {p} is not prime")
     if p % 4 != 1:
         raise PreconditionViolated(f"N({pi}) = {p} is not 1 (mod 4)")
-    val, _, s = _residue(alpha, pi)
+    val, s = _residue(alpha, pi)
     c = pow(val, (p - 1) // 4, p)
     table = {1: 0, s: 1, p - 1: 2, p - s: 3}
     if c not in table:
@@ -141,20 +145,15 @@ def quad_symbol(alpha: GaussInt | int, pi: GaussInt) -> int:
     p = pi.norm()
     if not is_prime(p) or p % 2 == 0:
         raise PreconditionViolated(f"N({pi}) = {p} is not an odd prime")
-    return _quad_symbol(alpha, pi)
-
-
-def _quad_symbol(alpha: GaussInt | int, pi: GaussInt) -> int:
-    """quad_symbol() for a pi whose norm the caller has already proven an odd prime."""
-    val, p, _ = _residue(alpha, pi)
+    val, _ = _residue(alpha, pi)
     return 1 if pow(val, (p - 1) // 2, p) == 1 else -1
 
 
-def _residue(alpha: GaussInt | int, pi: GaussInt) -> tuple[int, int, int]:
-    """alpha mod pi in F_p, p = N(pi), then p and the image of i there."""
+def _residue(alpha: GaussInt | int, pi: GaussInt) -> tuple[int, int]:
+    """alpha mod pi in F_p, p = N(pi), then the image of i there."""
     s = embedding_of_i(pi)
     p = pi.norm()
     val = alpha % p if isinstance(alpha, int) else (alpha.re + alpha.im * s) % p
     if val == 0:
         raise NotCoprime(f"{alpha} lies in the ideal ({pi})")
-    return val, p, s
+    return val, s

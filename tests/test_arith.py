@@ -229,6 +229,15 @@ def test_factor_squarefree_known():
     assert sd.t == 3
 
 
+def test_squarefree_d_stores_t_outside_repr_eq_and_hash():
+    sd = factor_squarefree(2371330)
+    assert sd.t == len(sd.factors) == 6
+    assert repr(sd) == "SquarefreeD(d=2371330, factors=(2, 5, 13, 17, 29, 37))"
+    same = SquarefreeD(2371330, (2, 5, 13, 17, 29, 37))
+    assert sd == same and hash(sd) == hash(same) == hash((2371330, (2, 5, 13, 17, 29, 37)))
+    assert sd != SquarefreeD(65, (5, 13))
+
+
 def test_factor_squarefree_rejects_squares():
     for d in (4, 12, 25, 50, 99):
         with pytest.raises(NotSquarefree):

@@ -48,6 +48,13 @@ def test_refusal_exits_2(capsys):
     assert "3 (mod 4)" in err
 
 
+def test_non_squarefree_d_exits_2(capsys):
+    code, out, err = run(capsys, ["--d", "9", "--X", "100"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: 9 is divisible by 3^2\n"
+
+
 def test_missing_fork_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(experiment, "get_all_start_methods", lambda: ["spawn"])
     code, out, err = run(capsys, ["--d", "65", "--X", "20000", "--workers", "2"])

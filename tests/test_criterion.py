@@ -1,6 +1,10 @@
+import importlib
+import pkgutil
+
 import pytest
 
-from unitindex import criterion, errors
+import unitindex
+from unitindex import criterion, errors, gaussian
 from unitindex.arith import factor_squarefree, primes_in_range
 from unitindex.construction import find_decomposition
 from unitindex.criterion import (
@@ -16,7 +20,7 @@ from unitindex.criterion import (
     unit_index_via_governing,
 )
 from unitindex.errors import NotCoprime, OutOfScopeM, PreconditionViolated, UnitIndexError
-from unitindex.gaussian import GaussInt, quad_symbol, split_primary
+from unitindex.gaussian import GaussInt, _split_primary, _sqrt_minus_one, quad_symbol, split_primary
 from unitindex.redei import ordered_factors, redei_rank4
 from unitindex.symbols import fpr
 
@@ -147,6 +151,84 @@ def test_governing_m_t_minus_1_is_a_quad_symbol():
             continue
         expected = 2 if quad_symbol(GaussInt(3, 2), split_primary(p)) == 1 else 1
         assert unit_index_via_governing(65, p) == expected
+
+
+def _governing_by_cornacchia(ctx, p, split, flip):
+    # the governing route with the primary prime over p built in full: a
+    # Cornacchia descent, then quad_symbol against it
+    pi = _split_primary(p, flip)
+    e_real = all(quad_symbol(ctx.primary(q, flip), pi) == 1 for q in split)
+    if len(split) == ctx.sd.t - 1:
+        return 2 if e_real else 1
+    dec = ctx.decomposition(split, p)
+    deeper_real = quad_symbol(ctx.primary(ctx.sd.d, flip), pi) == -ctx.cross(dec, flip)
+    return 2 if e_real and deeper_real else 1
+
+
+def _route(index, *args):
+    try:
+        return index(*args)
+    except PreconditionViolated as exc:
+        return str(exc)
+
+
+def test_governing_route_from_sqrt_minus_one_matches_cornacchia():
+    # any square root r of -1 mod p reads each symbol the same as either
+    # primary prime over p does, so the verdicts match for both labelings
+    checked = 0
+    for d in (65, 1105, 32045, 1185665, 2371330):
+        ctx = DContext(factor_squarefree(d))
+        t = ctx.sd.t
+        for p in ctx.candidates(5, 10**5):
+            fields, split = criterion._classify(ctx, p)
+            if not fields["in_P"] or fields["m"] not in (t - 1, t - 2):
+                continue
+            pis = (split_primary(p), split_primary(p, flip=True))
+            r = _sqrt_minus_one(p)
+            for flip in (False, True):
+                expected = _route(_governing_by_cornacchia, ctx, p, split, flip)
+                assert _route(criterion._governing_index, ctx, p, split, flip) == expected, (d, p, flip)
+                root = p - r if flip else r
+                rhos = [ctx.primary(q, flip) for q in split]
+                if fields["m"] == t - 2:
+                    rhos.append(ctx.primary(d, flip))
+                for rho in rhos:
+                    symbol = 1 if pow((rho.re + rho.im * root) % p, (p - 1) // 2, p) == 1 else -1
+                    assert symbol == quad_symbol(rho, pis[0]) == quad_symbol(rho, pis[1]), (d, p, rho)
+                checked += 1
+    assert checked > 10000
+
+
+@pytest.mark.parametrize("d", [65, 1105, 2371330])
+def test_scan_path_builds_no_prime_over_p(d, monkeypatch):
+    # counted at every module that binds them.  Cornacchia and the image of
+    # i run only in per-d table fills (the primes over d's factors, the
+    # cached cross signs), so their call counts stop growing once every
+    # split set has been seen
+    calls = {"_split_primary": 0, "embedding_of_i": 0}
+
+    def counting(name):
+        inner = getattr(gaussian, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        for info in pkgutil.iter_modules(unitindex.__path__):
+            module = importlib.import_module(f"unitindex.{info.name}")
+            if getattr(module, name, None) is inner:
+                monkeypatch.setattr(module, name, wrapper)
+
+    for name in calls:
+        counting(name)
+    counts = []
+    for X in (2 * 10**4, 10**5):
+        calls.update(dict.fromkeys(calls, 0))
+        ctx = DContext(factor_squarefree(d))
+        for p in ctx.candidates(5, X):
+            evaluate(ctx, p)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1], counts
 
 
 def test_governing_undefined_for_even_d_at_5_mod_8():
