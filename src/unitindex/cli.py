@@ -9,6 +9,7 @@ configuration.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import PreconditionViolated, UnitIndexError
@@ -60,6 +61,12 @@ def build_config(args: argparse.Namespace) -> ScanConfig:
                 raise PreconditionViolated(f"{key} must be an integer, got {settings[key]!r}")
     if "d" not in settings or "X" not in settings:
         raise PreconditionViolated("both d and X are required (flags or config file)")
+    out = settings.get("out")
+    if out:
+        # the report is written after the scan; refuse a path it cannot take now
+        folder = os.path.dirname(out) or "."
+        if os.path.isdir(out) or not os.path.isdir(folder) or not os.access(folder, os.W_OK):
+            raise PreconditionViolated(f"cannot write the report to {out}")
     # the remaining keys are ScanConfig fields; it holds their defaults
     m_filter = settings.pop("m", None)
     if isinstance(m_filter, str):
@@ -89,11 +96,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = build_config(args)
         summary, records = run_scan(cfg)
+        text = report(summary, records, cfg)
     except (UnitIndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    text = report(summary, records, cfg)
     if cfg.out:
         print(f"wrote {cfg.out}: {len(records)} primes scanned for d = {cfg.d}")
     else:

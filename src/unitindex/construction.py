@@ -1,10 +1,8 @@
 """Explicit solutions of the ternary quadratic equations behind the criteria.
 
-Three constructions live here: generators for the split primes of a real
-quadratic field (solutions of x^2 - p*y^2 - q*z^2 = 0 with parity side
-conditions), the two-block splitting d = a*b validated by Hilbert symbols,
-and the normalized solution of p*x^2 - a*y^2 - b*z^2 = 0 whose leading
-sign, against the Pell unit, decides total reality.
+Two constructions live here: the two-block splitting d = a*b validated by
+Hilbert symbols, and the normalized solution of p*x^2 - a*y^2 - b*z^2 = 0
+whose leading sign, against the Pell unit, decides total reality.
 """
 
 from __future__ import annotations
@@ -20,22 +18,18 @@ from .errors import (
     LocalObstruction,
     NoDecomposition,
     NormalizationFailed,
-    NotSplit,
     PreconditionViolated,
 )
-from .quadfield import SPLIT, KpElement, PellUnit, splitting
+from .quadfield import PellUnit
 from .redei import _split_residue_matrix, ordered_factors, rank_and_kernel
 from .symbols import INFINITY, _hilbert
-
-MODE_DECOMPOSITION = "decomposition"  # p*x^2 - a*y^2 - b*z^2 = 0
-MODE_SPLIT = "split"  # x^2 - p*y^2 - a*z^2 = 0 (b unused)
 
 _SEARCH_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
 class TernarySolution:
-    """One integral solution of a ternary quadratic equation.
+    """One integral solution of p*x^2 - a*y^2 - b*z^2 = 0.
 
     The coefficients are carried along so the defining identity can be
     rechecked at any time; it is enforced on construction.
@@ -47,7 +41,6 @@ class TernarySolution:
     p: int
     a: int
     b: int
-    mode: str = MODE_DECOMPOSITION
     normalized: bool = False
 
     def __post_init__(self):
@@ -57,8 +50,6 @@ class TernarySolution:
             raise PreconditionViolated(f"normalized solution must be primitive: {self}")
 
     def residual(self) -> int:
-        if self.mode == MODE_SPLIT:
-            return self.x**2 - self.p * self.y**2 - self.a * self.z**2
         return self.p * self.x**2 - self.a * self.y**2 - self.b * self.z**2
 
 
@@ -172,50 +163,6 @@ def solve_legendre(c1: int, c2: int, c3: int) -> tuple[int, int, int]:
     return next(_solutions(c1, c2, c3))
 
 
-def split_generator(p: int, q: int, avoid: tuple[int, ...] = ()) -> tuple[TernarySolution, KpElement]:
-    """Element of Q(sqrt(p)) of norm q * square, from a split rational prime q.
-
-    Solves x^2 - p*y^2 - c*z^2 = 0 (c = q, or 8 when q = 2), picks the first
-    solution in canonical order whose residue symbols at every prime in
-    ``avoid`` are nonzero, and applies the parity side conditions: exactly
-    one of y, z even, and the sign of x fixed so x minus the even one is
-    1 mod 4.  The returned element is (x + y*sqrt(p))/2 when z is even,
-    else x + y*sqrt(p).
-    """
-    if splitting(q, p) != SPLIT:
-        raise NotSplit(f"{q} does not split in Q(sqrt({p}))")
-    coeff = 8 if q == 2 else q
-    for x, y, z in _solutions(1, -p, -coeff):
-        if (y - z) % 2 == 0:
-            # both odd can occur only for q = 2; both even never, by parity
-            continue
-        # element norm is c*z^2 up to a square of 2, so the symbol at an odd
-        # r dies iff r | z; at r = 2 the halved element keeps an odd norm
-        # exactly when z is not 0 mod 4
-        if any(z % 4 == 0 if r == 2 else z % r == 0 for r in avoid):
-            continue
-        even = y if y % 2 == 0 else z
-        if (x - even) % 4 != 1:
-            x = -x
-        sol = TernarySolution(x, y, z, p, coeff, 0, mode=MODE_SPLIT, normalized=True)
-        _assert_split_conditions(sol)
-        return sol, KpElement(x, y, p, halved=z % 2 == 0)
-    raise HeightExceeded("solution stream exhausted")  # pragma: no cover
-
-
-def _assert_split_conditions(sol: TernarySolution) -> None:
-    x, y, z, p, c = sol.x, sol.y, sol.z, sol.p, sol.a
-    terms = (x * x, p * y * y, c * z * z)
-    for i in range(3):
-        if math.gcd(terms[i], terms[(i + 1) % 3]) != 1:
-            raise NormalizationFailed(f"terms of {sol} are not pairwise coprime")
-    if y < 0 or z < 0 or x % 2 == 0 or (y - z) % 2 == 0:
-        raise NormalizationFailed(f"parity conditions fail for {sol}")
-    even = y if y % 2 == 0 else z
-    if (x - even) % 4 != 1:
-        raise NormalizationFailed(f"sign condition fails for {sol}")
-
-
 def find_decomposition(d: int | SquarefreeD, p: int) -> Decomposition:
     """Split d into coprime halves a*b, both non-residues mod p, with
     p*x^2 - a*y^2 - b*z^2 = 0 solvable.
@@ -278,8 +225,6 @@ def normalize_solution(sol: TernarySolution) -> TernarySolution:
     nonnegative, and x signed so that x - y = 1 mod 4.  For odd d the
     odd-z case is repaired by a linear substitution first.  Idempotent.
     """
-    if sol.mode != MODE_DECOMPOSITION:
-        raise PreconditionViolated("normalization applies to the decomposition mode")
     p, a, b = sol.p, sol.a, sol.b
     x, y, z = sol.x, sol.y, sol.z
     g = math.gcd(math.gcd(x, y), z)
@@ -325,8 +270,8 @@ def totally_real(sol: TernarySolution, unit: PellUnit) -> bool:
     The radicand is (x*sqrt(p) + y*sqrt(a)) times the Pell unit; its
     conjugates share one sign, which this reads off as x*v > 0.
     """
-    if not sol.normalized or sol.mode != MODE_DECOMPOSITION:
-        raise PreconditionViolated("need a normalized decomposition-mode solution")
+    if not sol.normalized:
+        raise PreconditionViolated("need a normalized solution")
     if unit.p != sol.p:
         raise PreconditionViolated("unit belongs to a different field")
     return sol.x * unit.v > 0

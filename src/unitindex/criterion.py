@@ -22,25 +22,17 @@ from dataclasses import dataclass, field
 
 from .arith import SquarefreeD, factor_squarefree, is_prime, primes_in_range
 from .construction import (
-    MODE_DECOMPOSITION,
     Decomposition,
     TernarySolution,
     find_decomposition,
     normalize_solution,
     solve_legendre,
-    split_generator,
     totally_real,
 )
 from .errors import OutOfScopeM, PreconditionViolated, UnitIndexError
 from .gaussian import GaussInt, _sqrt_minus_one, split_primary
 from .quadfield import _pell_negative_unit
-from .redei import (
-    _ordered_factors,
-    extended_residue_matrix,
-    ordered_factors,
-    rank_and_kernel,
-    redei_rank4,
-)
+from .redei import _ordered_factors, redei_rank4
 from .symbols import _fpr, quartic_cross_product
 
 
@@ -94,20 +86,6 @@ class StructurePrediction:
     h_plus: int
     h: int | None
     q_range: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class RankCheck:
-    """Outcome of the generalized symbol-matrix rank computation.
-
-    ``kernel_rank4`` is kernel dimension minus one of the reduced matrix;
-    it must equal ``predicted_rank4`` = t - m - 1 whenever the rational
-    split-condition matrix has full rank m.
-    """
-
-    kernel_rank4: int
-    predicted_rank4: int
-    rational_full_rank: bool
 
 
 def _composite(sd: SquarefreeD, p: int) -> SquarefreeD:
@@ -339,7 +317,7 @@ def predicted_structure(d: int | SquarefreeD, p: int) -> StructurePrediction:
 def _construction_real(sd: SquarefreeD, p: int, dec: Decomposition) -> bool:
     """Total reality of the quadratic-form generator, the expensive way."""
     x, y, z = solve_legendre(p, -dec.a, -dec.b)
-    solution = TernarySolution(x, y, z, p, dec.a, dec.b, mode=MODE_DECOMPOSITION)
+    solution = TernarySolution(x, y, z, p, dec.a, dec.b)
     return totally_real(normalize_solution(solution), _pell_negative_unit(p))
 
 
@@ -404,26 +382,3 @@ def evaluate(d: int | SquarefreeD | DContext, p: int, construction_check: bool =
 
     return PrimeVerdict(p, m, in_P, reason, e_real, q_direct, q_governing, structure, dec, tuple(alarms))
 
-
-def generalized_rank_check(d: int | SquarefreeD, p: int, flip_root: bool = False) -> RankCheck:
-    """Recompute the composite field's 4-rank from split-generator symbols.
-
-    Builds one ternary generator per split factor (with norm coprime to the
-    other factors), assembles the extended symbol matrix, and reports its
-    kernel dimension minus one next to the predicted t - m - 1.  Refuses a
-    split dyadic factor, where the symbol rows are not defined.
-    """
-    sd = _context(d).sd
-    split, _ = ordered_factors(sd, p)
-    alphas = []
-    for q in split:
-        others = tuple(x for x in sd.factors if x != q)
-        _, alpha = split_generator(p, q, avoid=others)
-        alphas.append(alpha)
-    matrices = extended_residue_matrix(sd, p, alphas, flip_root=flip_root)
-    rational_rank, _ = rank_and_kernel(matrices.rational)
-    return RankCheck(
-        kernel_rank4=matrices.kernel_dim - 1,
-        predicted_rank4=sd.t - len(split) - 1,
-        rational_full_rank=rational_rank == len(split),
-    )

@@ -57,6 +57,11 @@ class ScanConfig:
             raise PreconditionViolated(f"format must be csv or json, got {self.fmt!r}")
         if self.m_filter is not None:
             object.__setattr__(self, "m_filter", frozenset(self.m_filter))
+            if min(self.m_filter, default=0) < 0:
+                raise PreconditionViolated(f"m must be nonnegative, got {min(self.m_filter)}")
+        if self.checkpoint and max(self.d, self.X) >> 64:
+            # the checkpoint header stores d and X as unsigned 64-bit integers
+            raise PreconditionViolated("a checkpoint needs d and X below 2^64")
 
 
 @dataclass(frozen=True)

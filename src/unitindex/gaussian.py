@@ -78,7 +78,16 @@ def split_primary(p: int, flip: bool = False) -> GaussInt:
         raise PreconditionViolated(f"{p} is not prime")
     if p % 4 != 1:
         raise NotSplit(f"{p} = 3 (mod 4) stays prime in Z[i]")
-    return _split_primary(p, flip)
+    # Cornacchia: x^2 + y^2 = p has one solution up to order and sign
+    a, b = p, _sqrt_minus_one(p)
+    while b * b > p:
+        a, b = b, a % b
+    x, y = b, a % b
+    assert x * x + y * y == p
+    # x, y > 0; the odd one is re, and its sign makes re + im = 1 (mod 4)
+    re, im = (x, y) if x % 2 else (y, x)
+    im = -im if flip else im
+    return GaussInt(re if (re + im) % 4 == 1 else -re, im)
 
 
 def _sqrt_minus_one(p: int) -> int:
@@ -92,20 +101,6 @@ def _sqrt_minus_one(p: int) -> int:
             raise PreconditionViolated(f"{p} is not prime")
         c += 1
     return r
-
-
-def _split_primary(p: int, flip: bool) -> GaussInt:
-    """split_primary() for a prime p = 1 (mod 4) the caller has already proven."""
-    # Cornacchia: x^2 + y^2 = p has one solution up to order and sign
-    a, b = p, _sqrt_minus_one(p)
-    while b * b > p:
-        a, b = b, a % b
-    x, y = b, a % b
-    assert x * x + y * y == p
-    # x, y > 0; the odd one is re, and its sign makes re + im = 1 (mod 4)
-    re, im = (x, y) if x % 2 else (y, x)
-    im = -im if flip else im
-    return GaussInt(re if (re + im) % 4 == 1 else -re, im)
 
 
 def embedding_of_i(pi: GaussInt) -> int:

@@ -1,6 +1,5 @@
 """Arithmetic of the real quadratic field Q(sqrt(p)): Pell units with a
-fixed sign normalization, prime splitting, and residue symbols modulo the
-primes over a rational prime q.
+fixed sign normalization, and the splitting of rational primes.
 """
 
 from __future__ import annotations
@@ -8,20 +7,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import is_prime, jacobi, sqrt_mod
-from .errors import (
-    IterationLimitExceeded,
-    NoNegativeNormUnit,
-    NotCoprime,
-    PreconditionViolated,
-)
+from .arith import is_prime
+from .errors import IterationLimitExceeded, NoNegativeNormUnit, PreconditionViolated
 
 SPLIT = "split"
 INERT = "inert"
 RAMIFIED = "ramified"
-
-FIRST = "first"
-CONJUGATE = "conjugate"
 
 _PELL_ITERATION_CAP = 10**6  # steps through the first half of a period
 _PELL_BLOCK = 32  # partial quotients multiplied out per small-integer block
@@ -37,35 +28,6 @@ class PellUnit:
 
     def norm(self) -> int:
         return self.u * self.u - self.p * self.v * self.v
-
-
-@dataclass(frozen=True)
-class KpElement:
-    """x + y*sqrt(p), or (x + y*sqrt(p))/2 when halved (x, y then both odd)."""
-
-    x: int
-    y: int
-    p: int
-    halved: bool = False
-
-    def __post_init__(self):
-        if self.halved and (self.x % 2 == 0 or self.y % 2 == 0):
-            raise PreconditionViolated("halved elements need both coordinates odd")
-
-    def conjugate(self) -> "KpElement":
-        return KpElement(self.x, -self.y, self.p, self.halved)
-
-    def norm(self) -> int:
-        n = self.x * self.x - self.p * self.y * self.y
-        if self.halved:
-            if n % 4 != 0:
-                raise PreconditionViolated(f"norm of {self} is not an integer")
-            return n // 4
-        return n
-
-    def __str__(self) -> str:
-        body = f"{self.x} + {self.y}*sqrt({self.p})"
-        return f"({body})/2" if self.halved else body
 
 
 def pell_negative_unit(p: int) -> PellUnit:
@@ -141,35 +103,3 @@ def _splitting(q: int, p: int) -> str:
     r = pow(p % q, (q - 1) // 2, q)
     return SPLIT if r == 1 else INERT if r else RAMIFIED
 
-
-def residue_symbol(alpha: KpElement, q: int, which: str = FIRST, flip_root: bool = False) -> int:
-    """Quadratic residue symbol of alpha modulo a prime of Q(sqrt(p)) over q.
-
-    Split q: the two primes are the kernels of x + y*sqrt(p) -> x + y*s and
-    x - y*s, with s the canonical square root of p mod q; ``which`` picks
-    one, and ``flip_root`` swaps the canonical root (relabeling the pair).
-    Inert q: the symbol is jacobi(N(alpha), q), by the Euler criterion in
-    the quadratic extension of F_q.
-    """
-    if q % 2 == 0:
-        raise PreconditionViolated("residue symbols here need an odd prime q")
-    if which not in (FIRST, CONJUGATE):
-        raise PreconditionViolated(f"unknown prime selector {which!r}")
-    kind = splitting(q, alpha.p)
-    if kind == SPLIT:
-        s = sqrt_mod(alpha.p, q)
-        if flip_root:
-            s = q - s
-        val = (alpha.x + alpha.y * s) if which == FIRST else (alpha.x - alpha.y * s)
-        if alpha.halved:
-            val *= pow(2, -1, q)
-        val %= q
-        if val == 0:
-            raise NotCoprime(f"{alpha} lies in the chosen prime over {q}")
-        return jacobi(val, q)
-    if kind == INERT:
-        n = alpha.norm() % q
-        if n == 0:
-            raise NotCoprime(f"{alpha} lies in the prime over {q}")
-        return jacobi(n, q)
-    raise PreconditionViolated(f"{q} ramifies in Q(sqrt({alpha.p}))")

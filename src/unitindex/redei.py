@@ -1,10 +1,8 @@
 """F2 linear algebra and the residue-symbol matrices controlling 4-rank data.
 
-Three matrices live here: the classical 4-rank matrix of a quadratic field
-(redei_rank4), the rational split-condition matrix whose kernel vectors
-index two-block factorizations of d (split_residue_matrix), and its
-extension by the split-prime generators whose kernel pins the 4-rank of the
-composite field exactly (extended_residue_matrix).
+Two matrices live here: the classical 4-rank matrix of a quadratic field
+(redei_rank4), and the rational split-condition matrix whose kernel vectors
+index two-block factorizations of d (split_residue_matrix).
 
 Symbols are converted to bits by +1 -> 0, -1 -> 1 throughout.
 """
@@ -14,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import SquarefreeD, factor_squarefree, is_prime, jacobi, kronecker, sqrt_mod
-from .errors import NotCoprime, PreconditionViolated, TheoryViolation
-from .quadfield import CONJUGATE, FIRST, RAMIFIED, SPLIT, KpElement, _splitting, residue_symbol
+from .arith import SquarefreeD, factor_squarefree, is_prime, jacobi, kronecker
+from .errors import NotCoprime, PreconditionViolated
+from .quadfield import RAMIFIED, SPLIT, _splitting
 
 
 @dataclass(frozen=True)
@@ -158,141 +156,3 @@ def _split_residue_matrix(sd: SquarefreeD, split: tuple[int, ...], inert: tuple[
         rows.append(bits)
     return F2Matrix(tuple(rows), len(order))
 
-
-@dataclass(frozen=True)
-class ExtendedMatrices:
-    """Raw and reduced forms of the split-generator symbol matrix.
-
-    ``raw`` has a row per prime of K_p over each factor of d (two per split
-    factor, one per inert), a column per split generator, per conjugate
-    generator, and per inert factor.  ``reduced`` pairs conjugate columns
-    and rows into rational data; its kernel dimension is one more than the
-    4-rank it certifies.  ``rational`` is the embedded copy of
-    split_residue_matrix.
-    """
-
-    raw: F2Matrix
-    reduced: F2Matrix
-    rational: F2Matrix
-    split: tuple[int, ...]
-    inert: tuple[int, ...]
-
-    @property
-    def kernel_dim(self) -> int:
-        rank, _ = rank_and_kernel(self.reduced)
-        return self.reduced.cols - rank
-
-
-def _symbol_bit(alpha: KpElement, q: int, which: str, flip_root: bool) -> int:
-    if q == 2:
-        n = alpha.norm()
-        if n % 2 == 0:
-            raise NotCoprime(f"{alpha} has even norm at the inert dyadic prime")
-        return 1 if kronecker(n, 2) == -1 else 0
-    return 1 if residue_symbol(alpha, q, which, flip_root=flip_root) == -1 else 0
-
-
-def extended_residue_matrix(
-    sd: SquarefreeD, p: int, alphas: list[KpElement], flip_root: bool = False
-) -> ExtendedMatrices:
-    """Assemble the (t+m) x (t+m) symbol matrix of the split generators.
-
-    ``alphas`` are the normalized ternary-solution generators for the split
-    factors of d in ordered_factors order, with norms coprime to the other
-    factors.  The reduction pairs each conjugate column and row with its
-    partner; the result must reproduce the rational matrix in its outer
-    blocks, anything else raises TheoryViolation.
-    """
-    split, inert = ordered_factors(sd, p)
-    m, t = len(split), sd.t
-    if 2 in split:
-        raise PreconditionViolated(
-            "split dyadic prime: symbol entries modulo a prime over 2 are not defined here"
-        )
-    if len(alphas) != m:
-        raise PreconditionViolated(f"need {m} generators, got {len(alphas)}")
-    for q, alpha in zip(split, alphas):
-        if alpha.p != p:
-            raise PreconditionViolated("generator field mismatch")
-        if alpha.norm() % q != 0 or alpha.norm() // q <= 0:
-            raise PreconditionViolated(f"generator for {q} has norm {alpha.norm()}")
-
-    # Which of the two primes over its factor divides each generator.
-    owners = []
-    for q, alpha in zip(split, alphas):
-        s = sqrt_mod(p, q)
-        if flip_root:
-            s = q - s
-        first_divides = (alpha.x + alpha.y * s) % q == 0
-        conj_divides = (alpha.x - alpha.y * s) % q == 0
-        if first_divides == conj_divides:
-            raise PreconditionViolated(f"generator for {q} not divisible by exactly one prime")
-        owners.append(FIRST if first_divides else CONJUGATE)
-    other = {FIRST: CONJUGATE, CONJUGATE: FIRST}
-
-    size = t + m
-
-    def bit(sel_i: int, sel: str, col: int) -> int:
-        """Entry of the raw matrix at the row of prime `sel` over split[sel_i]."""
-        qi = split[sel_i]
-        if col < m:
-            elem, j = alphas[col], col
-        elif col < 2 * m:
-            elem, j = alphas[col - m].conjugate(), col - m
-        else:
-            return _rational_bit(inert[col - 2 * m], qi)
-        if j == sel_i:
-            divisor = owners[j] if col < m else other[owners[j]]
-            if sel == divisor:
-                # the element generates this prime; score its conjugate
-                # against the cofactor of d instead
-                return _symbol_bit(elem.conjugate(), qi, sel, flip_root) ^ _rational_bit(
-                    sd.d // qi, qi
-                )
-        return _symbol_bit(elem, qi, sel, flip_root)
-
-    rows = []
-    for block in (0, 1):
-        for i in range(m):
-            sel = owners[i] if block == 0 else other[owners[i]]
-            bits = 0
-            for col in range(size):
-                bits |= bit(i, sel, col) << col
-            rows.append(bits)
-    for qk in inert:
-        bits = 0
-        for col in range(size):
-            if col < 2 * m:
-                alpha = alphas[col % m]
-                bits |= _symbol_bit(alpha, qk, FIRST, flip_root) << col
-            # rational columns at inert rows are squares: bit 0
-        rows.append(bits)
-    raw = F2Matrix(tuple(rows), size)
-
-    # Pair conjugate data: column m+j absorbs column j, row m+i absorbs row i.
-    folded = [r ^ ((r & ((1 << m) - 1)) << m) for r in raw.rows]
-    reduced_rows = list(folded)
-    for i in range(m):
-        reduced_rows[m + i] ^= reduced_rows[i]
-    reduced = F2Matrix(tuple(reduced_rows), size)
-
-    rational = _split_residue_matrix(sd, split, inert)
-    _check_block_structure(reduced, rational, m, t)
-    return ExtendedMatrices(raw=raw, reduced=reduced, rational=rational, split=split, inert=inert)
-
-
-def _check_block_structure(reduced: F2Matrix, rational: F2Matrix, m: int, t: int) -> None:
-    """The reduced matrix must embed the rational matrix and a zero block."""
-    for i in range(m):
-        got = reduced.rows[i] >> m
-        if got != rational.rows[i]:
-            raise TheoryViolation(
-                f"row {i}: rational block is {got:0{t}b}, expected {rational.rows[i]:0{t}b}"
-            )
-    for i in range(t):
-        row = reduced.rows[m + i]
-        if row >> m:
-            raise TheoryViolation(f"rational row {i} has nonzero outer block")
-        for j in range(m):
-            if (row >> j & 1) != rational.entry(j, i):
-                raise TheoryViolation(f"transposed block mismatch at ({i}, {j})")

@@ -33,7 +33,7 @@ def fpr(a: int, ell) -> int:
         raise PreconditionViolated(f"modulus must be an integer >= 2, got {ell!r}")
     if ell == 2 or is_prime(ell):
         return _fpr(a, ell)
-    return fpr_product(a, factor_squarefree(ell).factors)
+    return math.prod(_fpr(a, q) for q in factor_squarefree(ell).factors)
 
 
 def _fpr(a: int, ell: int) -> int:
@@ -50,14 +50,6 @@ def _fpr(a: int, ell: int) -> int:
     if (c * c % ell if ell % 4 == 1 else c) != 1:
         raise PreconditionViolated(f"{r} is not a square mod {ell}")
     return 1 if c == 1 else -1
-
-
-def fpr_product(a: int, moduli) -> int:
-    """Product of fpr(a, q) over an iterable of prime moduli."""
-    result = 1
-    for q in moduli:
-        result *= fpr(a, q)
-    return result
 
 
 def _eps(n: int) -> int:

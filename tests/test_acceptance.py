@@ -10,8 +10,8 @@ import random
 import time
 
 from unitindex.arith import factor_squarefree, primes_in_range
+from oracles import generalized_rank_check
 from unitindex.construction import (
-    MODE_DECOMPOSITION,
     TernarySolution,
     find_decomposition,
     normalize_solution,
@@ -21,7 +21,6 @@ from unitindex.construction import (
 from unitindex.criterion import (
     classify,
     e_totally_real,
-    generalized_rank_check,
     unit_index,
     unit_index_via_governing,
 )
@@ -31,7 +30,7 @@ from unitindex.gaussian import quartic_symbol, split_primary
 from unitindex.qfclassgroup import narrow_class_group
 from unitindex.quadfield import pell_negative_unit
 from unitindex.redei import redei_rank4
-from unitindex.symbols import INFINITY, fpr, fpr_product, hilbert
+from unitindex.symbols import INFINITY, fpr, hilbert
 
 _WORKERS = min(8, os.cpu_count() or 1)
 
@@ -59,7 +58,7 @@ def test_1_flagship_three_way_agreement():
 
     # route three: the ternary construction
     x, y, z = solve_legendre(37, -5, -13)
-    sol = normalize_solution(TernarySolution(x, y, z, 37, 5, 13, mode=MODE_DECOMPOSITION))
+    sol = normalize_solution(TernarySolution(x, y, z, 37, 5, 13))
     unit = pell_negative_unit(37)
     real = totally_real(sol, unit)
 
@@ -235,14 +234,10 @@ def test_8_construction_sign_bridge():
             if not v.in_P or v.m != sd.t - 2:
                 continue
             dec = find_decomposition(sd, p)
-            a_factors = tuple(q for q, e in zip(dec.factors, dec.exponents) if e)
-            b_factors = tuple(q for q, e in zip(dec.factors, dec.exponents) if not e)
-            sign = fpr(sd.d, p) * fpr_product(dec.a * p, b_factors) * fpr_product(dec.b * p, a_factors)
+            sign = fpr(sd.d, p) * fpr(dec.a * p, dec.b) * fpr(dec.b * p, dec.a)
             try:
                 x, y, z = solve_legendre(p, -dec.a, -dec.b)
-                sol = normalize_solution(
-                    TernarySolution(x, y, z, p, dec.a, dec.b, mode=MODE_DECOMPOSITION)
-                )
+                sol = normalize_solution(TernarySolution(x, y, z, p, dec.a, dec.b))
                 real = totally_real(sol, pell_negative_unit(p))
             except (LocalObstruction, HeightExceeded):
                 unsolvable += 1

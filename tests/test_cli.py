@@ -148,3 +148,41 @@ def test_bad_m_flag(capsys):
     with pytest.raises(SystemExit):  # argparse rejects the value itself
         cli.main(["--d", "65", "--X", "100", "--m", "zero"])
     capsys.readouterr()
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch):
+    # refused before the scan, so nothing is scanned and nothing is written
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        code, stdout, err = run(capsys, ["--d", "65", "--X", "100", "--out", str(out)])
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: cannot write the report to {out}\n"
+    assert list(tmp_path.iterdir()) == []
+
+    # a write that fails after the scan (a full disk) is reported the same way
+    def full(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "report", full)
+    code, stdout, err = run(capsys, ["--d", "65", "--X", "100", "--out", str(tmp_path / "x.csv")])
+    assert (code, stdout, err) == (2, "", "error: [Errno 28] No space left on device\n")
+
+
+def test_negative_m_exits_2(tmp_path, capsys):
+    conf = tmp_path / "scan.conf"
+    conf.write_text("d = 65\nX = 100\nm = 0,-1\n")
+    for argv in (["--d", "65", "--X", "100", "--m=-1"], ["--config", str(conf)]):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: m must be nonnegative, got -1\n"
+
+
+def test_checkpoint_bound_beyond_64_bits_exits_2(tmp_path, capsys):
+    ck = tmp_path / "scan.log"
+    for d, X in ((65, 2**64 + 1), (2**64 + 13, 100)):
+        code, out, err = run(capsys, ["--d", str(d), "--X", str(X), "--checkpoint", str(ck)])
+        assert code == 2
+        assert out == ""
+        assert err == "error: a checkpoint needs d and X below 2^64\n"
+    assert not ck.exists()

@@ -5,16 +5,14 @@ import pytest
 
 from unitindex import arith, construction, criterion, gaussian, quadfield, redei, symbols
 from unitindex.arith import factor_squarefree, primes_in_range
+from oracles import split_generator
 from unitindex.construction import (
-    MODE_DECOMPOSITION,
-    MODE_SPLIT,
     Decomposition,
     TernarySolution,
     _solutions,
     find_decomposition,
     normalize_solution,
     solve_legendre,
-    split_generator,
     totally_real,
 )
 from unitindex.errors import (
@@ -144,7 +142,6 @@ def test_split_generator_conditions_sweep():
             even = y if y % 2 == 0 else z
             assert (x - even) % 4 == 1
             assert alpha.halved == (z % 2 == 0)
-            assert sol.mode == MODE_SPLIT
             seen += 1
     assert seen >= 40
 
@@ -391,9 +388,7 @@ def test_sign_does_not_depend_on_the_normalized_solution():
             unit = pell_negative_unit(p)
             signs = {
                 totally_real(
-                    normalize_solution(
-                        TernarySolution(x, y, z, p, dec.a, dec.b, mode=MODE_DECOMPOSITION)
-                    ),
+                    normalize_solution(TernarySolution(x, y, z, p, dec.a, dec.b)),
                     unit,
                 )
                 for x, y, z in itertools.islice(_solutions(p, -dec.a, -dec.b), 2)

@@ -4,7 +4,8 @@ import pkgutil
 import pytest
 
 import unitindex
-from unitindex import criterion, errors, gaussian
+from oracles import generalized_rank_check
+from unitindex import construction, criterion, errors, gaussian
 from unitindex.arith import factor_squarefree, primes_in_range
 from unitindex.construction import find_decomposition
 from unitindex.criterion import (
@@ -14,13 +15,12 @@ from unitindex.criterion import (
     classify,
     e_totally_real,
     evaluate,
-    generalized_rank_check,
     predicted_structure,
     unit_index,
     unit_index_via_governing,
 )
 from unitindex.errors import NotCoprime, OutOfScopeM, PreconditionViolated, UnitIndexError
-from unitindex.gaussian import GaussInt, _split_primary, _sqrt_minus_one, quad_symbol, split_primary
+from unitindex.gaussian import GaussInt, _sqrt_minus_one, quad_symbol, split_primary
 from unitindex.redei import ordered_factors, redei_rank4
 from unitindex.symbols import fpr
 
@@ -156,7 +156,7 @@ def test_governing_m_t_minus_1_is_a_quad_symbol():
 def _governing_by_cornacchia(ctx, p, split, flip):
     # the governing route with the primary prime over p built in full: a
     # Cornacchia descent, then quad_symbol against it
-    pi = _split_primary(p, flip)
+    pi = split_primary(p, flip)
     e_real = all(quad_symbol(ctx.primary(q, flip), pi) == 1 for q in split)
     if len(split) == ctx.sd.t - 1:
         return 2 if e_real else 1
@@ -205,14 +205,14 @@ def test_scan_path_builds_no_prime_over_p(d, monkeypatch):
     # i run only in per-d table fills (the primes over d's factors, the
     # cached cross signs), so their call counts stop growing once every
     # split set has been seen
-    calls = {"_split_primary": 0, "embedding_of_i": 0}
+    calls = {"split_primary": 0, "embedding_of_i": 0}
 
     def counting(name):
         inner = getattr(gaussian, name)
 
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return inner(*args)
+            return inner(*args, **kwargs)
 
         for info in pkgutil.iter_modules(unitindex.__path__):
             module = importlib.import_module(f"unitindex.{info.name}")
@@ -364,6 +364,28 @@ def test_split_set_tables_match_per_prime_oracles(d):
                 assert v.q_governing == v.q_direct
             checked += 1
     assert checked > 200
+
+
+def test_library_keeps_no_test_only_oracle():
+    # the split-generator matrix route lives in tests/oracles.py; the
+    # library keeps one path per fact and imports nothing from the tests
+    gone = {
+        "quadfield": ("FIRST", "CONJUGATE", "KpElement", "residue_symbol"),
+        "redei": ("ExtendedMatrices", "_symbol_bit", "extended_residue_matrix", "_check_block_structure"),
+        "construction": ("split_generator", "_assert_split_conditions", "MODE_SPLIT", "MODE_DECOMPOSITION"),
+        "criterion": ("RankCheck", "generalized_rank_check"),
+        "gaussian": ("_split_primary",),
+        "symbols": ("fpr_product",),
+    }
+    for short, names in gone.items():
+        module = importlib.import_module(f"unitindex.{short}")
+        for name in names:
+            assert not hasattr(module, name), f"unitindex.{short}.{name}"
+    assert "mode" not in construction.TernarySolution.__dataclass_fields__
+    for info in pkgutil.iter_modules(unitindex.__path__):
+        module = importlib.import_module(f"unitindex.{info.name}")
+        for name, obj in vars(module).items():
+            assert getattr(obj, "__module__", None) != "oracles", f"unitindex.{info.name}.{name}"
 
 
 def test_every_library_error_shares_one_base():

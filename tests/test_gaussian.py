@@ -8,7 +8,7 @@ from unitindex.errors import NonRealSymbolProduct, NotCoprime, NotSplit, Precond
 from unitindex.gaussian import (
     GaussInt,
     QuarticValue,
-    _split_primary,
+    _sqrt_minus_one,
     embedding_of_i,
     quad_symbol,
     quartic_symbol,
@@ -106,31 +106,31 @@ def test_split_primary_rejects():
 
 
 def test_split_primary_kernel_ends_on_composites():
-    # the kernel trusts its caller to have proven p; a composite must raise
-    # or return, never loop (each call runs under a 2 s alarm)
+    # the square-root search trusts its caller to have proven p; a composite
+    # must raise or return a root of -1, never loop (each call runs under a
+    # 2 s alarm)
     def hung(signum, frame):
-        raise TimeoutError("_split_primary did not return")
+        raise TimeoutError("_sqrt_minus_one did not return")
 
     previous = signal.signal(signal.SIGALRM, hung)
     try:
         for n in range(9, 2 * 10**4, 4):
             if is_prime(n):
                 continue
-            for flip in (False, True):
-                signal.alarm(2)
-                try:
-                    pi = _split_primary(n, flip)
-                except PreconditionViolated as exc:
-                    assert str(exc) == f"{n} is not prime"
-                else:
-                    assert pi.norm() == n
-                finally:
-                    signal.alarm(0)
+            signal.alarm(2)
+            try:
+                r = _sqrt_minus_one(n)
+            except PreconditionViolated as exc:
+                assert str(exc) == f"{n} is not prime"
+            else:
+                assert r * r % n == n - 1
+            finally:
+                signal.alarm(0)
     finally:
         signal.signal(signal.SIGALRM, previous)
     for n in (9, 21, 25, 45, 561, 4033, 8321):
         with pytest.raises(PreconditionViolated, match="is not prime"):
-            _split_primary(n, False)
+            _sqrt_minus_one(n)
 
 
 def test_embedding_of_i():

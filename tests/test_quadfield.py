@@ -5,17 +5,14 @@ import pytest
 
 from unitindex.arith import factor_squarefree, jacobi, primes_in_range, sqrt_mod
 from unitindex.errors import NoNegativeNormUnit, NotCoprime, PreconditionViolated
+from oracles import CONJUGATE, FIRST, KpElement, residue_symbol
 from unitindex.quadfield import (
-    CONJUGATE,
-    FIRST,
     INERT,
     RAMIFIED,
     SPLIT,
-    KpElement,
     PellUnit,
     _splitting,
     pell_negative_unit,
-    residue_symbol,
     splitting,
 )
 

@@ -2,13 +2,11 @@ import random
 
 import pytest
 
+from oracles import KpElement, extended_residue_matrix
 from unitindex.arith import factor_squarefree
 from unitindex.errors import PreconditionViolated
-from unitindex.quadfield import KpElement
 from unitindex.redei import (
-    ExtendedMatrices,
     F2Matrix,
-    extended_residue_matrix,
     ordered_factors,
     rank_and_kernel,
     redei_rank4,

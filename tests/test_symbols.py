@@ -5,7 +5,7 @@ import pytest
 
 from unitindex.arith import factor_squarefree, jacobi, primes_in_range
 from unitindex.errors import NotCoprime, PreconditionViolated, UnitIndexError
-from unitindex.symbols import INFINITY, quartic_cross_product, fpr, fpr_product, hilbert
+from unitindex.symbols import INFINITY, quartic_cross_product, fpr, hilbert
 
 
 def test_fpr_odd_prime_known():
@@ -54,7 +54,6 @@ def test_fpr_composite_is_product():
         if jacobi(a, 5) != 1 or jacobi(a, 13) != 1:
             continue
         assert fpr(a, 65) == fpr(a, 5) * fpr(a, 13)
-        assert fpr_product(a, (5, 13)) == fpr(a, 65)
         count += 1
 
 
