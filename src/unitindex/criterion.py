@@ -140,24 +140,24 @@ class DContext:
             dec = self._decompositions[split] = find_decomposition(self.sd, p)
         return dec
 
-    def cross(self, dec: Decomposition, flip: bool) -> int:
-        """Quartic cross sign of a decomposition, in the ``flip`` labeling."""
-        sign = self._cross.get((dec.a, flip))
+    def cross(self, dec: Decomposition) -> int:
+        """Quartic cross sign of a decomposition."""
+        sign = self._cross.get(dec.a)
         if sign is None:
-            sign = self._cross[dec.a, flip] = quartic_cross_product(dec.a, dec.b, conjugate=flip)
+            sign = self._cross[dec.a] = quartic_cross_product(dec.a, dec.b)
         return sign
 
-    def primary(self, n: int, flip: bool) -> GaussInt:
+    def primary(self, n: int) -> GaussInt:
         """The primary prime over a factor n of d, or for n = d the product
-        of those over every factor; the flipped labeling is the conjugate."""
+        of those over every factor."""
         rho = self._primaries.get(n)
         if rho is None:
             if n in self.sd.factors:
                 rho = split_primary(n)
             else:
-                rho = math.prod((self.primary(q, False) for q in self.sd.factors), start=GaussInt(1, 0))
+                rho = math.prod((self.primary(q) for q in self.sd.factors), start=GaussInt(1, 0))
             self._primaries[n] = rho
-        return rho.conjugate() if flip else rho
+        return rho
 
 
 def _context(d: int | SquarefreeD | DContext) -> DContext:
@@ -245,23 +245,22 @@ def _direct_index(ctx: DContext, p: int, split: tuple[int, ...], e_real: bool) -
     return 2 if e_real and sign == -1 else 1
 
 
-def _governing_index(ctx: DContext, p: int, split: tuple[int, ...], flip: bool) -> int:
+def _governing_index(ctx: DContext, p: int, split: tuple[int, ...]) -> int:
     # (rho/pi) reads rho in Z[i]/(pi) = F_p, with i at a root r of -1; pi and
     # its conjugate (r and -r) give the same symbol, since for split q the two
     # multiply to (q/p) = 1 and at m = t-2 d's two inert factors give (-1)^2
     r, half = _sqrt_minus_one(p), (p - 1) // 2
-    r = p - r if flip else r
     e_real = True
     for q in split:
-        rho = ctx.primary(q, flip)
+        rho = ctx.primary(q)
         if pow((rho.re + rho.im * r) % p, half, p) != 1:
             e_real = False
             break
     if len(split) == ctx.sd.t - 1:
         return 2 if e_real else 1
     dec = ctx.decomposition(split, p)
-    rho = ctx.primary(ctx.sd.d, flip)
-    deeper_real = (pow((rho.re + rho.im * r) % p, half, p) == 1) == (ctx.cross(dec, flip) == -1)
+    rho = ctx.primary(ctx.sd.d)
+    deeper_real = (pow((rho.re + rho.im * r) % p, half, p) == 1) == (ctx.cross(dec) == -1)
     return 2 if e_real and deeper_real else 1
 
 
@@ -279,18 +278,17 @@ def unit_index(d: int | SquarefreeD, p: int) -> int:
     return _direct_index(ctx, p, split, _e_real(p, split))
 
 
-def unit_index_via_governing(d: int | SquarefreeD, p: int, flip: bool = False) -> int:
+def unit_index_via_governing(d: int | SquarefreeD, p: int) -> int:
     """The same index, decided by splitting conditions over Z[i].
 
     Total reality of the elementary extension becomes quad_symbol(rho, pi)
     = +1 for the primary prime rho over each split factor; the deeper layer
     for m = t-2 compares quad_symbol(rho_1 ... rho_t, pi) against minus the
-    mutual quartic sign of the decomposition.  ``flip`` switches every
-    primary choice to its conjugate at once; the verdict must not move.
+    mutual quartic sign of the decomposition.
     """
     ctx = _context(d)
     _, split = _member(ctx, p, (ctx.sd.t - 1, ctx.sd.t - 2))
-    return _governing_index(ctx, p, split, flip)
+    return _governing_index(ctx, p, split)
 
 
 def predicted_structure(d: int | SquarefreeD, p: int) -> StructurePrediction:
@@ -356,7 +354,7 @@ def evaluate(d: int | SquarefreeD | DContext, p: int, construction_check: bool =
     except UnitIndexError as exc:
         alarms.append(f"direct route: {exc}")
     try:
-        q_governing = _governing_index(ctx, p, split, False)
+        q_governing = _governing_index(ctx, p, split)
     except UnitIndexError as exc:
         if isinstance(exc, PreconditionViolated) and sd.d % 2 == 0 and p % 8 == 5:
             # the dyadic block makes b = p = 5 (mod 8), outside the domain

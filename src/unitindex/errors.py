@@ -36,9 +36,9 @@ class NoNegativeNormUnit(UnitIndexError, ValueError):
 class LocalObstruction(UnitIndexError, ValueError):
     """A ternary form has no nontrivial zero over some completion."""
 
-    def __init__(self, place, message=None):
+    def __init__(self, place):
         self.place = place
-        super().__init__(message or f"no nontrivial solution over the completion at {place}")
+        super().__init__(f"no nontrivial solution over the completion at {place}")
 
 
 class HeightExceeded(UnitIndexError, RuntimeError):

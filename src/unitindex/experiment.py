@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import struct
 from contextlib import nullcontext
@@ -250,7 +251,7 @@ def summarize(records: list[dict], d: int, X: int, m_filter=None) -> DensitySumm
                 freq_Q2=(n_q2 / n_in) if in_window and n_in else None,
                 theory_Q2=1 / (1 << (t - 1)) if in_window else None,
                 freq_E_real=(n_e / n_total) if n_total else None,
-                theory_E_real=1 / (1 << m),
+                theory_E_real=math.ldexp(1.0, -m),
             )
         )
     return DensitySummary(d=d, X=X, t=t, rows=tuple(rows))

@@ -64,16 +64,15 @@ class QuarticValue:
         return ("1", "i", "-1", "-i")[self.k]
 
 
-def split_primary(p: int, flip: bool = False) -> GaussInt:
+def split_primary(p: int) -> GaussInt:
     """A primary Gaussian prime above p, for p = 2 or p = 1 (mod 4).
 
     Primary means re odd, im even, re + im = 1 (mod 4); the conjugate of a
     primary prime is again primary, and the canonical choice is im > 0.
-    ``flip`` selects the conjugate labeling (im < 0) instead.  p = 2 returns
-    1 + i (or 1 - i flipped).
+    p = 2 returns 1 + i.
     """
     if p == 2:
-        return GaussInt(1, -1) if flip else GaussInt(1, 1)
+        return GaussInt(1, 1)
     if not is_prime(p):
         raise PreconditionViolated(f"{p} is not prime")
     if p % 4 != 1:
@@ -86,7 +85,6 @@ def split_primary(p: int, flip: bool = False) -> GaussInt:
     assert x * x + y * y == p
     # x, y > 0; the odd one is re, and its sign makes re + im = 1 (mod 4)
     re, im = (x, y) if x % 2 else (y, x)
-    im = -im if flip else im
     return GaussInt(re if (re + im) % 4 == 1 else -re, im)
 
 

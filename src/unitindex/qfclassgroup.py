@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import SquarefreeD, _sieve_upto, factor_squarefree, jacobi
+from .arith import SquarefreeD, _sieve_upto, factor_squarefree
 from .errors import (
     IterationLimitExceeded,
     NotSquarefree,
@@ -21,6 +21,8 @@ from .errors import (
 from .redei import redei_rank4
 
 _REDUCE_CAP = 10_000
+#: Bound on the fundamental discriminant the forms oracle will enumerate.
+_MAX_DISC = 10**7
 
 
 @dataclass(frozen=True)
@@ -242,15 +244,15 @@ class _FormTable:
         return result
 
 
-def narrow_class_group(D: int, max_disc: int = 10**7) -> ClassGroup2Sylow:
+def narrow_class_group(D: int) -> ClassGroup2Sylow:
     """Narrow class number and 2-Sylow ranks of Q(sqrt(D)) by forms.
 
     D is positive squarefree (or an even fundamental discriminant); the
-    work is bounded by ``max_disc`` on the fundamental discriminant.
+    work is bounded by _MAX_DISC on the fundamental discriminant.
     """
     disc = _fundamental_discriminant(D)
-    if disc > max_disc:
-        raise PreconditionViolated(f"discriminant {disc} exceeds the bound {max_disc}")
+    if disc > _MAX_DISC:
+        raise PreconditionViolated(f"discriminant {disc} exceeds the bound {_MAX_DISC}")
     table = _FormTable(disc)
     h_plus = table.h_plus
     two_part = h_plus & -h_plus
@@ -272,7 +274,7 @@ def narrow_class_group(D: int, max_disc: int = 10**7) -> ClassGroup2Sylow:
     return ClassGroup2Sylow(ranks[0], ranks[1], ranks[2], two_part, h_plus)
 
 
-def verify_hypotheses(d: int | SquarefreeD, max_disc: int = 10**7) -> HypothesisReport:
+def verify_hypotheses(d: int | SquarefreeD) -> HypothesisReport:
     """Check the base-value hypotheses: admissible factors and 4-rank zero.
 
     The 4-rank is computed twice, by the symbol matrix and by the forms
@@ -282,8 +284,8 @@ def verify_hypotheses(d: int | SquarefreeD, max_disc: int = 10**7) -> Hypothesis
     admissible = sd.admissible
     rank4_matrix = redei_rank4(sd)
     disc = _fundamental_discriminant(sd.d)
-    if disc <= max_disc:
-        rank4_oracle = narrow_class_group(sd.d, max_disc).rk4
+    if disc <= _MAX_DISC:
+        rank4_oracle = narrow_class_group(sd.d).rk4
         agree = rank4_oracle == rank4_matrix
     else:
         rank4_oracle = None

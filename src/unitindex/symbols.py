@@ -12,7 +12,7 @@ import math
 
 from .arith import factor_squarefree, is_prime, jacobi
 from .errors import NotCoprime, PreconditionViolated
-from .gaussian import GaussInt, QuarticValue, quartic_symbol, split_primary
+from .gaussian import QuarticValue, quartic_symbol, split_primary
 
 #: Sentinel for the archimedean place.
 INFINITY = "oo"
@@ -92,18 +92,15 @@ def _split_valuation(n: int, r: int) -> tuple[int, int]:
     return alpha, n
 
 
-def quartic_cross_product(a: int, b: int, conjugate: bool = False) -> int:
+def quartic_cross_product(a: int, b: int) -> int:
     """Mutual quartic-symbol product of a coprime pair, a sign in {+1, -1}.
 
     a*b is the squarefree part of the discriminant, with every prime factor
     2 or 1 (mod 4), and b odd.  The value collects quartic symbols of b at
     the primary primes over the odd part of a, and of a at the primary
     primes over b; an even a contributes an extra real factor
-    (-1)^((1-b)/8), which needs b = 1 (mod 8).
-
-    ``conjugate`` switches every primary prime to its conjugate at once
-    (the alternative canonical labeling); since the total is real it is
-    unchanged.  An imaginary total raises NonRealSymbolProduct.
+    (-1)^((1-b)/8), which needs b = 1 (mod 8).  An imaginary total raises
+    NonRealSymbolProduct.
     """
     if b % 2 == 0:
         raise PreconditionViolated(f"b = {b} must be odd")
@@ -116,7 +113,7 @@ def quartic_cross_product(a: int, b: int, conjugate: bool = False) -> int:
         total *= QuarticValue(2 * (((1 - b) // 8) % 2))
     a_odd = a // 2 if a % 2 == 0 else a
     for q in factor_squarefree(a_odd).factors if a_odd > 1 else ():
-        total *= quartic_symbol(b, split_primary(q, flip=conjugate))
+        total *= quartic_symbol(b, split_primary(q))
     for q in factor_squarefree(b).factors if b > 1 else ():
-        total *= quartic_symbol(a, split_primary(q, flip=conjugate))
+        total *= quartic_symbol(a, split_primary(q))
     return total.sign()

@@ -6,8 +6,10 @@ ternary generator of Q(sqrt(p)) per split factor of d (split_generator),
 residue symbols of those generators modulo the primes over each factor
 (residue_symbol), and the (t+m) x (t+m) symbol matrix they fill
 (extended_residue_matrix), whose reduced kernel pins the 4-rank
-(generalized_rank_check).  Nothing in the library calls it; tests compare
-the library against it.
+(generalized_rank_check).  It also keeps the governing route with the
+primary prime over p built in full by Cornacchia, in either labeling of the
+Gaussian primes (governing_by_cornacchia).  Nothing in the library calls
+this module; tests compare the library against it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 from unitindex.arith import SquarefreeD, jacobi, kronecker, sqrt_mod
 from unitindex.construction import _solutions
-from unitindex.criterion import _context
+from unitindex.criterion import DContext, _context, _member
 from unitindex.errors import (
     HeightExceeded,
     NormalizationFailed,
@@ -26,6 +28,7 @@ from unitindex.errors import (
     PreconditionViolated,
     TheoryViolation,
 )
+from unitindex.gaussian import quad_symbol, split_primary
 from unitindex.quadfield import INERT, SPLIT, splitting
 from unitindex.redei import (
     F2Matrix,
@@ -334,3 +337,27 @@ def generalized_rank_check(d: int | SquarefreeD, p: int, flip_root: bool = False
         predicted_rank4=sd.t - len(split) - 1,
         rational_full_rank=rational_rank == len(split),
     )
+
+
+def governing_by_cornacchia(d: int | SquarefreeD | DContext, p: int, conjugate: bool = False) -> int:
+    """unit_index_via_governing(d, p) with the primary prime over p built in
+    full, a Cornacchia descent, and every symbol read by quad_symbol.
+
+    ``conjugate`` labels every Gaussian prime by its conjugate instead: the
+    one over p and the cached ones over d's factors.  The quartic cross
+    sign is the context's, in the library's labeling.
+    """
+    ctx = _context(d)
+    t = ctx.sd.t
+    _, split = _member(ctx, p, (t - 1, t - 2))
+
+    def label(pi):
+        return pi.conjugate() if conjugate else pi
+
+    pi = label(split_primary(p))
+    e_real = all(quad_symbol(label(ctx.primary(q)), pi) == 1 for q in split)
+    if len(split) == t - 1:
+        return 2 if e_real else 1
+    dec = ctx.decomposition(split, p)
+    deeper_real = quad_symbol(label(ctx.primary(ctx.sd.d)), pi) == -ctx.cross(dec)
+    return 2 if e_real and deeper_real else 1

@@ -10,7 +10,7 @@ import random
 import time
 
 from unitindex.arith import factor_squarefree, primes_in_range
-from oracles import generalized_rank_check
+from oracles import generalized_rank_check, governing_by_cornacchia
 from unitindex.construction import (
     TernarySolution,
     find_decomposition,
@@ -54,7 +54,7 @@ def test_1_flagship_three_way_agreement():
 
     # route two: quartic symbols at the primary prime over 37
     governing = unit_index_via_governing(65, 37)
-    governing_flipped = unit_index_via_governing(65, 37, flip=True)
+    governing_flipped = governing_by_cornacchia(65, 37, conjugate=True)
 
     # route three: the ternary construction
     x, y, z = solve_legendre(37, -5, -13)
@@ -163,8 +163,12 @@ def test_6_reciprocity_suites():
     quartic_pairs = quartic_bad = 0
     for _ in range(10**4):
         p, q = rng.sample(split, 2)
-        pi = split_primary(p, flip=rng.random() < 0.5)
-        rho = split_primary(q, flip=rng.random() < 0.5)
+        pi, rho = split_primary(p), split_primary(q)
+        # the same draws, in the same order, pick the labeling of each prime
+        if rng.random() < 0.5:
+            pi = pi.conjugate()
+        if rng.random() < 0.5:
+            rho = rho.conjugate()
         lhs = quartic_symbol(pi, rho).k
         rhs = quartic_symbol(rho, pi).k
         flip = ((p - 1) // 4) * ((q - 1) // 4) % 2

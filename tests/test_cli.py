@@ -92,6 +92,13 @@ def test_config_rejects_bad_line(tmp_path, capsys):
     assert "expected key=value" in err
 
 
+def test_config_empty_m_filter_exits_2(tmp_path, capsys):
+    conf = tmp_path / "scan.conf"
+    conf.write_text("d = 65\nX = 100\nm = ,\n")
+    code, out, err = run(capsys, ["--config", str(conf)])
+    assert (code, out, err) == (2, "", "error: empty m filter\n")
+
+
 def test_missing_required_settings(capsys):
     code, _, err = run(capsys, ["--X", "100"])
     assert code == 2

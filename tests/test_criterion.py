@@ -1,10 +1,12 @@
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
 
 import unitindex
-from oracles import generalized_rank_check
+from oracles import generalized_rank_check, governing_by_cornacchia
 from unitindex import construction, criterion, errors, gaussian
 from unitindex.arith import factor_squarefree, primes_in_range
 from unitindex.construction import find_decomposition
@@ -134,7 +136,7 @@ def test_governing_route_agrees_and_ignores_labeling():
                 assert d % 2 == 0 and p % 8 == 5
                 continue
             assert governing == direct
-            assert unit_index_via_governing(sd, p, flip=True) == governing
+            assert governing_by_cornacchia(sd, p, conjugate=True) == governing
             checked += 1
     assert checked >= 100
 
@@ -151,18 +153,6 @@ def test_governing_m_t_minus_1_is_a_quad_symbol():
             continue
         expected = 2 if quad_symbol(GaussInt(3, 2), split_primary(p)) == 1 else 1
         assert unit_index_via_governing(65, p) == expected
-
-
-def _governing_by_cornacchia(ctx, p, split, flip):
-    # the governing route with the primary prime over p built in full: a
-    # Cornacchia descent, then quad_symbol against it
-    pi = split_primary(p, flip)
-    e_real = all(quad_symbol(ctx.primary(q, flip), pi) == 1 for q in split)
-    if len(split) == ctx.sd.t - 1:
-        return 2 if e_real else 1
-    dec = ctx.decomposition(split, p)
-    deeper_real = quad_symbol(ctx.primary(ctx.sd.d, flip), pi) == -ctx.cross(dec, flip)
-    return 2 if e_real and deeper_real else 1
 
 
 def _route(index, *args):
@@ -183,16 +173,17 @@ def test_governing_route_from_sqrt_minus_one_matches_cornacchia():
             fields, split = criterion._classify(ctx, p)
             if not fields["in_P"] or fields["m"] not in (t - 1, t - 2):
                 continue
-            pis = (split_primary(p), split_primary(p, flip=True))
+            pis = (split_primary(p), split_primary(p).conjugate())
             r = _sqrt_minus_one(p)
-            for flip in (False, True):
-                expected = _route(_governing_by_cornacchia, ctx, p, split, flip)
-                assert _route(criterion._governing_index, ctx, p, split, flip) == expected, (d, p, flip)
-                root = p - r if flip else r
-                rhos = [ctx.primary(q, flip) for q in split]
-                if fields["m"] == t - 2:
-                    rhos.append(ctx.primary(d, flip))
+            index = _route(criterion._governing_index, ctx, p, split)
+            rhos = [ctx.primary(q) for q in split]
+            if fields["m"] == t - 2:
+                rhos.append(ctx.primary(d))
+            for conjugate in (False, True):
+                assert _route(governing_by_cornacchia, ctx, p, conjugate) == index, (d, p, conjugate)
+                root = p - r if conjugate else r
                 for rho in rhos:
+                    rho = rho.conjugate() if conjugate else rho
                     symbol = 1 if pow((rho.re + rho.im * root) % p, (p - 1) // 2, p) == 1 else -1
                     assert symbol == quad_symbol(rho, pis[0]) == quad_symbol(rho, pis[1]), (d, p, rho)
                 checked += 1
@@ -386,6 +377,20 @@ def test_library_keeps_no_test_only_oracle():
         module = importlib.import_module(f"unitindex.{info.name}")
         for name, obj in vars(module).items():
             assert getattr(obj, "__module__", None) != "oracles", f"unitindex.{info.name}.{name}"
+
+
+def test_library_imports_only_names_it_uses():
+    # an import the module never reads is dead code
+    for path in sorted(pathlib.Path(unitindex.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name.partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, f"{path.name} imports {sorted(imported - used)} without using them"
 
 
 def test_every_library_error_shares_one_base():

@@ -7,6 +7,7 @@ import math
 import os
 import pkgutil
 import struct
+import tracemalloc
 from dataclasses import asdict
 
 import pytest
@@ -180,11 +181,16 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
 def test_checkpoint_survives_torn_length_prefix(tmp_path):
     ck = str(tmp_path / "scan.log")
     sfull, rfull = scan(65, 800, checkpoint=ck)
-    with open(ck, "ab") as fh:
-        fh.write(struct.pack(">I", 500) + b'{"p": 9')  # claims 500 bytes, has 8
-    s2, r2 = scan(65, 800, checkpoint=ck)
-    assert r2 == rfull
-    assert render_csv(s2, r2) == render_csv(sfull, rfull)
+    size = os.path.getsize(ck)
+    # a prefix that claims 500 bytes with 7 there, then all 7 bytes there
+    # but not JSON: the resume cuts either tail off
+    for n in (500, 7):
+        with open(ck, "ab") as fh:
+            fh.write(struct.pack(">I", n) + b'{"p": 9')
+        s2, r2 = scan(65, 800, checkpoint=ck)
+        assert os.path.getsize(ck) == size
+        assert r2 == rfull
+        assert render_csv(s2, r2) == render_csv(sfull, rfull)
 
 
 def test_empty_scan_is_header_only():
@@ -249,6 +255,19 @@ def test_summarize_matches_manual_count():
     manual = sum(1 for r in records if r["m"] == 1 and r["Q_direct"] == 2)
     row = summary.rows[1]
     assert row.m == 1 and row.n_Q2 == manual
+
+
+def test_summarize_large_m_builds_no_big_integer():
+    # 2^-m as a float, never 1 / (1 << m): 1 << 10**8 alone is 12.5 MB
+    _, records = scan(65, 1000)
+    tracemalloc.start()
+    try:
+        summary = summarize(records, 65, 1000, {0, 10**8})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [(row.m, row.theory_E_real) for row in summary.rows] == [(0, 1.0), (10**8, 0.0)]
+    assert peak < 10**6, peak
 
 
 def test_construction_sample_share_is_about_one_in_64_for_every_seed():

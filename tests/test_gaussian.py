@@ -56,9 +56,9 @@ def test_split_primary_properties():
         assert pi.im > 0
 
 
-def _split_primary_from_sqrt(p, flip):
+def _split_primary_from_sqrt(p, conjugate):
     """Cornacchia from sqrt_mod's root of -1, then the primary one of the
-    four associates, conjugated to the labeling ``flip`` asks for."""
+    four associates, conjugated to the labeling ``conjugate`` asks for."""
     a, b = p, sqrt_mod(p - 1, p)
     while b * b > p:
         a, b = b, a % b
@@ -66,25 +66,27 @@ def _split_primary_from_sqrt(p, flip):
     for re, im in ((x, y), (-y, x), (-x, -y), (y, -x)):
         if re % 2 == 1 and im % 2 == 0 and (re + im) % 4 == 1:
             pi = GaussInt(re, im)
-    return pi.conjugate() if (pi.im < 0) != flip else pi
+    return pi.conjugate() if (pi.im < 0) != conjugate else pi
 
 
 def test_split_primary_matches_sqrt_mod_reference():
     for p in primes_in_range(5, 2 * 10**5):
         if p % 4 == 1:
-            for flip in (False, True):
-                assert split_primary(p, flip) == _split_primary_from_sqrt(p, flip), (p, flip)
+            pi = split_primary(p)
+            assert pi == _split_primary_from_sqrt(p, False), p
+            assert pi.conjugate() == _split_primary_from_sqrt(p, True), p
 
 
 def test_split_primary_flip_labeling():
+    # the other labeling of the primary primes is GaussInt.conjugate()
     for p in (5, 13, 17, 37, 53):
         pi = split_primary(p)
-        bar = split_primary(p, flip=True)
-        assert bar == pi.conjugate()
+        bar = pi.conjugate()
+        assert bar == _split_primary_from_sqrt(p, True)
         assert bar.im < 0
         assert (bar.re + bar.im) % 4 == 1
         assert (pi * bar) == GaussInt(p, 0)
-    assert split_primary(2, flip=True) == GaussInt(1, -1)
+    assert split_primary(2).conjugate() == GaussInt(1, -1)
 
 
 def test_split_primary_congruent_one_mod_two_plus_two_i():

@@ -16,6 +16,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from unitindex import criterion  # noqa: E402
 from unitindex.arith import SquarefreeD, is_prime, primes_in_range  # noqa: E402
+from oracles import governing_by_cornacchia  # noqa: E402
 from unitindex.criterion import DContext, evaluate, unit_index_via_governing  # noqa: E402
 from unitindex.redei import ordered_factors, redei_rank4  # noqa: E402
 
@@ -62,7 +63,7 @@ def test_evaluate_never_raises_and_routes_agree(sd, p):
 def test_governing_verdict_ignores_the_flip(sd, p):
     v = evaluate(sd, p)
     if v.q_governing is not None:
-        assert unit_index_via_governing(sd, p, flip=True) == unit_index_via_governing(sd, p) == v.q_governing
+        assert governing_by_cornacchia(sd, p, conjugate=True) == unit_index_via_governing(sd, p) == v.q_governing
 
 
 @_bounded

@@ -134,7 +134,7 @@ def test_divisors_from_factorization_match_trial_division(d):
 
 
 def test_rejects_bounds_and_bad_input():
-    with pytest.raises(PreconditionViolated):
-        narrow_class_group(10**8 + 1, max_disc=10**6)
+    with pytest.raises(PreconditionViolated, match="exceeds the bound 10000000"):
+        narrow_class_group(10**8 + 1)
     with pytest.raises(NotSquarefree):
         narrow_class_group(18)

@@ -5,6 +5,7 @@ import pytest
 
 from unitindex.arith import factor_squarefree, jacobi, primes_in_range
 from unitindex.errors import NotCoprime, PreconditionViolated, UnitIndexError
+from unitindex.gaussian import QuarticValue, quartic_symbol, split_primary
 from unitindex.symbols import INFINITY, quartic_cross_product, fpr, hilbert
 
 
@@ -181,9 +182,18 @@ def test_cross_product_known_values():
     assert quartic_cross_product(5, 17) == -1
 
 
+def _cross_product_conjugated(a, b):
+    # quartic_cross_product(a, b) over the conjugates of the primary primes
+    total = QuarticValue(2 * ((1 - b) // 8 % 2) if a % 2 == 0 else 0)
+    for n, x in ((a // math.gcd(a, 2), b), (b, a)):
+        for q in factor_squarefree(n).factors if n > 1 else ():
+            total *= quartic_symbol(x, split_primary(q).conjugate())
+    return total.sign()
+
+
 def test_cross_product_conjugate_agrees():
-    assert quartic_cross_product(5, 13, conjugate=True) == quartic_cross_product(5, 13)
-    assert quartic_cross_product(10, 17, conjugate=True) == quartic_cross_product(10, 17)
+    assert _cross_product_conjugated(5, 13) == quartic_cross_product(5, 13)
+    assert _cross_product_conjugated(10, 17) == quartic_cross_product(10, 17)
 
 
 def test_cross_product_requires_odd_b():
