@@ -7,12 +7,11 @@ whose leading sign, against the Pell unit, decides total reality.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterator
 
-from .arith import SquarefreeD, factor_squarefree, is_prime, jacobi
+from .arith import SquarefreeD, factor_squarefree, is_prime, jacobi, sqrt_mod
 from .errors import (
     HeightExceeded,
     LocalObstruction,
@@ -74,44 +73,62 @@ class Decomposition:
             raise PreconditionViolated("exponent vector does not match a")
 
 
-def _check_local_solvability(c1: int, c2: int, c3: int) -> None:
-    u = -c1 * c2
-    v = -c1 * c3
-    # every prime dividing a coefficient, trial dividing up to a prime
-    # cofactor; one dividing every coefficient to an even power has symbol 1
-    places: set[int] = set()
-    for c in (c1, c2, c3):
-        n, q = abs(c), 2
-        prime = is_prime(n)
-        while not prime and q * q <= n:
-            if n % q == 0:
-                places.add(q)
-                while n % q == 0:
-                    n //= q
-                prime = is_prime(n)
-            q += 1
-        places.add(n)
-    # odd places first: a failure comes in pairs by the product formula,
-    # and the odd member is the one a descent argument names
-    for r in sorted(places - {1, 2}) + [2]:
-        if _hilbert(u, v, r) != 1:
+def _factorization(n: int) -> dict[int, int]:
+    """Prime factorization of n > 0 by trial division up to a prime cofactor."""
+    out: dict[int, int] = {}
+    q, prime = 2, is_prime(n)
+    while not prime and q * q <= n:
+        while n % q == 0:
+            out[q] = out.get(q, 0) + 1
+            n //= q
+            prime = is_prime(n)
+        q += 1
+    if n > 1:
+        out[n] = 1
+    return out
+
+
+def _check_local_solvability(c1: int, c2: int, c3: int, places: set[int]) -> None:
+    # places: every prime dividing a coefficient.  Odd places first: a failure
+    # comes in pairs (product formula), and descent names the odd member
+    for r in sorted(places - {2}) + [2]:
+        if _hilbert(-c1 * c2, -c1 * c3, r) != 1:
             raise LocalObstruction(r)
+
+
+def _reduced_form(B: int, C: int, u: tuple[int, int], w: tuple[int, int]) -> tuple:
+    """Gauss-reduced basis (u, w) of the lattice that u and w span, with the
+    Gram entries Q(u), <u, w> and the determinant under Q = B*y^2 + C*z^2."""
+
+    def dot(v1, v2):
+        return B * v1[0] * v2[0] + C * v1[1] * v2[1]
+
+    nu, nw = dot(u, u), dot(w, w)
+    while True:
+        if nu > nw:
+            u, w, nu, nw = w, u, nw, nu
+        uw = dot(u, w)
+        mu = (2 * uw + nu) // (2 * nu)  # nearest to <u, w>/Q(u)
+        if not mu:
+            return u, w, nu, uw, nu * nw - uw * uw
+        w = (w[0] - mu * u[0], w[1] - mu * u[1])
+        nw = dot(w, w)
 
 
 def _solutions(c1: int, c2: int, c3: int) -> Iterator[tuple[int, int, int]]:
     """All primitive solutions of c1*x^2 + c2*y^2 + c3*z^2 = 0 with
-    x, y, z >= 0, in (x, z, y)-lexicographic order, searched x by x.
+    x, y, z >= 0, in (x, z, y)-lexicographic order, by lattice enumeration.
 
-    The solutions of each x are yielded as soon as that x is done.  The
-    inner loop runs over the variable w with the larger coefficient W and
-    visits only the w whose class mod the other coefficient S solves
-    W*w^2 = c1*x^2.  The budget counts the work done: per x, the residues
-    the root scan tries plus the w visited.  Once the running count passes
-    _SEARCH_BUDGET, HeightExceeded is raised before that x is walked, so a
-    failed search walks at most _SEARCH_BUDGET w.  The Holzer bound
-    |x| <= sqrt(c2*c3) holds a solution whenever one exists and the
-    coefficients are squarefree and pairwise coprime.  No cap on x is
-    needed: every x costs a step, so the budget ends the search first.
+    Write A*x^2 = B*y^2 + C*z^2 with A, B, C > 0.  A prime q dividing A once
+    (and not all three) forces q | z if q | B, else y = +-r*z (mod q) with
+    B*r^2 + C = 0 (mod q), since q | z puts q in gcd(x, y, z).  Each root
+    combined by CRT, one of each +- pair, gives a Gauss-reduced lattice of
+    (y, z).  Bands X = 1, 2, 4, ... visit its points with
+    B*y^2 + C*z^2 <= A*X^2 and yield the zeros with X/2 < x <= X once the
+    band is done.  The budget counts the points visited: past
+    _SEARCH_BUDGET, HeightExceeded is raised before the band is walked.  A
+    solvable conic with squarefree, pairwise coprime coefficients has a
+    zero with x <= sqrt(B*C) (Holzer).
     """
     if 0 in (c1, c2, c3):
         raise PreconditionViolated("coefficients must be nonzero")
@@ -121,36 +138,41 @@ def _solutions(c1: int, c2: int, c3: int) -> Iterator[tuple[int, int, int]]:
         if c2 > 0 and c3 > 0:
             raise LocalObstruction(INFINITY)
         raise PreconditionViolated("expected the sign pattern (+, -, -)")
-    _check_local_solvability(c1, c2, c3)
     A, B, C = c1, -c2, -c3
-    solve_for_y = B <= C  # iterate the larger-coefficient variable
-    W, S = (C, B) if solve_for_y else (B, C)
-    spent = 0
-    for x in itertools.count(1):
-        target = A * x * x
-        w_hi = math.isqrt(target // W)
-        # S divides target - W*w^2 exactly when w mod S is a root of it
-        span = min(S, w_hi + 1)
-        spent += span
-        if spent <= _SEARCH_BUDGET:
-            classes = [range(r, w_hi + 1, S) for r in range(span) if (target - W * r * r) % S == 0]
-            spent += sum(map(len, classes))
+    factored = _factorization(A)
+    _check_local_solvability(c1, c2, c3, set(factored).union(_factorization(B), _factorization(C)))
+    # the lattice {(y, z) : y = r*z (mod M1), z = 0 (mod M2)} per root r
+    M1, M2, roots = 1, 1, {0}
+    for q, e in factored.items():
+        if e == 1 and B % q == 0 < C % q:
+            M2 *= q
+        elif e == 1 and B % q:
+            s, inv = sqrt_mod(-C * pow(B, -1, q), q), pow(M1, -1, q)
+            roots = {r + M1 * ((s_q - r) * inv % q) for r in roots for s_q in (s, -s)}
+            M1 *= q
+    forms = [_reduced_form(B, C, (M1, 0), (r * M2, M2)) for r in {min(r, -r % M1) for r in roots}]
+    spent, X = 0, 1
+    while True:
+        N = A * X * X
+        # i*u + j*w for j > 0, and j = 0 with i > 0: one of each +- pair
+        rows = []
+        for u, w, a, b, det in forms:
+            for j in range(math.isqrt(a * N // det) + 1):
+                s = math.isqrt(a * N - det * j * j)
+                rows.append((u, w, j, -((b * j + s) // a) if j else 1, (s - b * j) // a))
+        spent += sum(hi - lo + 1 for *_, lo, hi in rows)
         if spent > _SEARCH_BUDGET:
-            raise HeightExceeded(
-                f"search budget exhausted near x = {x} for ({A}, {-B}, {-C})"
-            )
-        found = []
-        for ws in classes:
-            for w in ws:
-                s2 = (target - W * w * w) // S
-                s = math.isqrt(s2)
-                if s * s != s2:
-                    continue
-                y, z = (s, w) if solve_for_y else (w, s)
-                if math.gcd(math.gcd(x, y), z) == 1:
-                    found.append((x, y, z))
-        found.sort(key=lambda sol: (sol[2], sol[1]))
-        yield from found
+            raise HeightExceeded(f"search budget exhausted near x = {X} for ({A}, {-B}, {-C})")
+        found = set()
+        for u, w, j, lo, hi in rows:
+            for i in range(lo, hi + 1):
+                y, z = i * u[0] + j * w[0], i * u[1] + j * w[1]
+                x2, rem = divmod(B * y * y + C * z * z, A)
+                x = math.isqrt(x2)
+                if not rem and x * x == x2 and 2 * x > X and math.gcd(math.gcd(x, y), z) == 1:
+                    found.add((x, abs(y), abs(z)))
+        yield from sorted(found, key=lambda sol: (sol[0], sol[2], sol[1]))
+        X *= 2
 
 
 def solve_legendre(c1: int, c2: int, c3: int) -> tuple[int, int, int]:

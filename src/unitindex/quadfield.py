@@ -33,7 +33,8 @@ class PellUnit:
 def pell_negative_unit(p: int) -> PellUnit:
     """Fundamental solution of u^2 - p*v^2 = -1, with v - u = 1 (mod 4).
 
-    Built from the first half of the continued-fraction period of sqrt(p).
+    Built from the first half of the continued-fraction period of
+    (1 + sqrt(p))/2, cubed when that unit is not in Z[sqrt(p)].
     Requires prime p = 1 (mod 4); such p always carry a norm -1 unit.
     """
     if not is_prime(p):
@@ -46,8 +47,9 @@ def pell_negative_unit(p: int) -> PellUnit:
 def _pell_negative_unit(p: int) -> PellUnit:
     """pell_negative_unit() for a p = 1 (mod 4) the caller has proven prime."""
     a0 = math.isqrt(p)
-    # remainders from P_0 = 0, Q_0 = 1, Q_(-1) = p: Q_(n+1) = Q_(n-1) + a_n*(P_n - P_(n+1))
-    P, Q_prev, Q = 0, p, 1
+    # remainders of omega = (1 + sqrt(p))/2 from P_0 = 1, Q_0 = 2, Q_(-1) = (p - 1)/2:
+    # Q_(n+1) = Q_(n-1) + a_n*(P_n - P_(n+1))
+    P, Q_prev, Q = 1, (p - 1) // 2, 2
     blocks = []
     for _ in range(_PELL_ITERATION_CAP // _PELL_BLOCK):
         # [[h, h_prev], [k, k_prev]] of the next quotients, in small integers
@@ -61,12 +63,18 @@ def _pell_negative_unit(p: int) -> PellUnit:
             if Q == Q_prev:
                 break
         blocks.append((h, h_prev, k, k_prev))
-        # the period of sqrt(p), p = 1 (mod 4) prime, is odd and a palindrome
-        # whose middle s is the first pair of equal remainders (Q = 1 twice
-        # at period 1); the unit comes from h_s/k_s and h_(s-1)/k_(s-1)
+        # the period of omega, p = 1 (mod 4) prime, is odd and a palindrome
+        # whose middle s is the first pair of equal remainders (Q = 2 twice
+        # at period 1); the fundamental unit (T + W*sqrt(p))/2 of Z[omega]
+        # comes from h_s/k_s and h_(s-1)/k_(s-1), and is cubed when it is
+        # not in Z[sqrt(p)] (odd W, only for p = 5 mod 8)
         if Q == Q_prev:
             h, h_prev, k, k_prev = _product(blocks, 0, len(blocks))
-            u, v = h * k + h_prev * k_prev, k * k + k_prev * k_prev
+            W = k * k + k_prev * k_prev
+            T = 2 * (h * k + h_prev * k_prev) - W
+            if W % 2:
+                T, W = (T**3 + 3 * T * W * W * p) // 4, (3 * T * T * W + W**3 * p) // 4
+            u, v = T // 2, W // 2
             if (v - u) % 4 != 1:
                 v = -v
             unit = PellUnit(p, u, v)

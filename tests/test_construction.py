@@ -305,9 +305,10 @@ def test_search_budget_is_enforced(monkeypatch):
 
 
 def test_search_budget_counts_the_steps_taken():
-    # the boxes of x <= 9 hold about 1.1 * 10^7 values of w, of which the
-    # search walks the 2 residue classes mod 13 that can solve; a budget
-    # charged for whole boxes ran out near x = 9, below the Holzer bound 14
+    # the boxes of x <= 9 hold about 1.1 * 10^7 values of y or z, so a
+    # budget charged for whole boxes ran out near x = 9, below the Holzer
+    # bound 14; the budget counts only the lattice points visited, fewer
+    # than 40 up to x = 16
     x, y, z = solve_legendre(1000000001389, -13, -17)
     assert (x, y, z) == (9, 2496122, 10501)
     assert 1000000001389 * x * x - 13 * y * y - 17 * z * z == 0
@@ -330,10 +331,12 @@ def _brute_force_zeros(c1, c2, c3, x_max):
 
 def test_solutions_stream_matches_brute_force_listing():
     # odd coefficients, the dyadic 8 of split_generator, and both orders
-    # of |c2| against |c3|; then boxes far wider than the modulus S of the
-    # residue classes (prime and composite S, one locally obstructed) and
-    # an S wider than every box up to x_max; the stream must list exactly
-    # the zeros with x <= x_max, in order, before it moves past x_max
+    # of |c2| against |c3|; then prime c1 far above B*C (one locally
+    # obstructed) and c1 = 2 below it; then composite c1: several root
+    # lattices (two primes in 65, 130, 221, three in 1105), a square
+    # factor (45), and c1 sharing a prime with c2 or c3, which puts that
+    # prime in z or y; the stream must list exactly the zeros with
+    # x <= x_max, in order, before it moves past x_max
     x_max = 40
     small = [
         (c1, c2, c3)
@@ -347,8 +350,37 @@ def test_solutions_stream_matches_brute_force_listing():
         (10001357, -1105, -1073),
         (2, -1105, -1073),
     ]
+    composite = [
+        (c1, *pair)
+        for c1, c2, c3 in (
+            (10, -3, -7),
+            (10, -4, -9),
+            (10, -1, -65),
+            (45, -1, -4),
+            (45, -2, -13),
+            (45, -1, -9),
+            (45, -5, -13),
+            (45, -3, -17),
+            (65, -1, -4),
+            (65, -2, -7),
+            (65, -3, -17),
+            (65, -1, -26),
+            (65, -13, -65),
+            (130, -1, -9),
+            (130, -2, -7),
+            (130, -5, -34),
+            (221, -1, -4),
+            (221, -4, -17),
+            (221, -13, -26),
+            (1105, -1, -4),
+            (1105, -4, -9),
+            (1105, -5, -7),
+            (1105, -5, -65),
+        )
+        for pair in ((c2, c3), (c3, c2))
+    ]
     compared = 0
-    for c1, c2, c3 in small + wide:
+    for c1, c2, c3 in small + wide + composite:
         want = _brute_force_zeros(c1, c2, c3, x_max)
         try:
             got = list(itertools.islice(_solutions(c1, c2, c3), len(want) + 1))
@@ -358,7 +390,7 @@ def test_solutions_stream_matches_brute_force_listing():
         assert got[: len(want)] == want, (c1, c2, c3)
         assert got[len(want)][0] > x_max, (c1, c2, c3)
         compared += 1
-    assert compared >= 70
+    assert compared >= 116
 
 
 def test_solve_legendre_with_prime_coefficient_above_10_12():
@@ -414,3 +446,17 @@ def test_construction_check_clean_on_large_boxes():
         v = evaluate(1185665, p, construction_check=True)
         assert v.alarms == (), (p, v.alarms)
         assert (v.q_direct, v.q_governing) == (q, q)
+
+
+def test_construction_check_clean_at_t_8():
+    # some members have no zero below x = 10^4 (p = 19309: x = 15813,
+    # p = 29761: x = 13947), so a search that walks x one by one through
+    # boxes of y and z runs out of budget before it reaches one
+    ctx = criterion.DContext(factor_squarefree(188080853285))
+    members = 0
+    for p in ctx.candidates(5, 10**5):
+        v = evaluate(ctx, p, construction_check=True)
+        if v.in_P and v.m == 6:
+            assert v.alarms == () and v.q_direct is not None, (p, v.alarms)
+            members += 1
+    assert members == 307

@@ -1,5 +1,5 @@
 """Property-based checks of the per-prime verdict: random admissible d with
-t <= 6 (even d included) and random primes p <= 10^7.
+t <= 8 (even d included) and random primes p <= 10^7.
 
 The examples are derandomized and bounded, so the file runs the same cases
 in a few seconds every time.
@@ -28,7 +28,7 @@ _bounded = settings(max_examples=100, deadline=None, derandomize=True, database=
 
 @st.composite
 def admissible_d(draw):
-    factors = sorted(draw(st.lists(st.sampled_from(_FACTORS), min_size=1, max_size=6, unique=True)))
+    factors = sorted(draw(st.lists(st.sampled_from(_FACTORS), min_size=1, max_size=8, unique=True)))
     return SquarefreeD(math.prod(factors), tuple(factors))
 
 
@@ -47,7 +47,8 @@ primes_1_mod_4 = st.integers(1, (_X - 1) // 4).map(lambda k: next(p for p in ran
 @_bounded
 @given(admissible_d(), primes)
 def test_evaluate_never_raises_and_routes_agree(sd, p):
-    v = evaluate(sd, p)
+    # the construction check runs on every m = t-2 member among them
+    v = evaluate(sd, p, construction_check=True)
     assert v.p == p
     if v.q_direct is not None and v.q_governing is not None:
         assert v.q_direct == v.q_governing, (sd.d, p, v)
@@ -56,6 +57,22 @@ def test_evaluate_never_raises_and_routes_agree(sd, p):
     if redei_rank4(sd) == 0:
         assert v.alarms == (), (sd.d, p, v.alarms)
     assert not any(a.startswith("routes disagree") for a in v.alarms), (sd.d, p, v.alarms)
+
+
+@_bounded
+@given(admissible_d(), st.integers(5, _X - 4000))
+def test_construction_check_clean_on_a_random_member(sd, lo):
+    # the first m = t-2 member from lo on, where the check always runs;
+    # the splitting d = a*b needs the base-value hypothesis (4-rank 0)
+    if redei_rank4(sd):
+        return
+    ctx = DContext(sd)
+    for p in ctx.candidates(lo, lo + 4000):
+        v = evaluate(ctx, p)
+        if v.in_P and v.m == sd.t - 2:
+            checked = evaluate(ctx, p, construction_check=True)
+            assert checked.alarms == () and checked.q_direct is not None, (sd.d, p, checked.alarms)
+            break
 
 
 @_bounded

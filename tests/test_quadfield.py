@@ -88,11 +88,14 @@ def test_blocked_pell_matches_per_step_recurrence():
         if p % 4 == 1:
             unit = pell_negative_unit(p)
             assert (unit.u, unit.v) == _pell_per_step(p)[0], p
-    for p in (10000253, 100000037, 100000049, 100000073):
+    # primes above 10^7; the four above 10^9 are p = 5 (mod 8) primes whose
+    # unit of Z[(1 + sqrt(p))/2] is not in Z[sqrt(p)], so the returned unit
+    # is its cube (v of 600 to 10,175 bits)
+    for p in (10000253, 100000037, 100000049, 100000073, 1000001789, 1000000349, 1000002149, 1000000613):
         unit = pell_negative_unit(p)
         assert (unit.u, unit.v) == _pell_per_step(p)[0], p
-    # half periods at the edges of the 32-quotient blocks, of one and of
-    # two blocks, and the period-1 primes, whose one block has one quotient
+    # half periods of sqrt(p) at the edges of 32-quotient blocks, of one and
+    # of two blocks, and the period-1 primes, whose one block has one quotient
     edges = {1: (5, 17, 37, 101), 31: (2053,), 32: (1801,), 33: (2293,), 63: (4621,), 64: (6781,), 65: (8389,)}
     for s, primes in edges.items():
         for p in primes:
@@ -100,6 +103,27 @@ def test_blocked_pell_matches_per_step_recurrence():
             assert steps == s, (p, steps)
             unit = pell_negative_unit(p)
             assert (unit.u, unit.v) == want, p
+    # the same edges for the expansion of (1 + sqrt(p))/2 that the kernel
+    # walks, at p = 5 (mod 8), where its half period is the shorter one
+    edges = {1: (5, 13, 29), 31: (6829,), 32: (9109,), 33: (10861,), 63: (51229,), 64: (36061,), 65: (37549,)}
+    for s, primes in edges.items():
+        for p in primes:
+            assert _omega_half_period(p) == s, p
+            unit = pell_negative_unit(p)
+            assert (unit.u, unit.v) == _pell_per_step(p)[0], p
+
+
+def _omega_half_period(p):
+    """Partial quotients of (1 + sqrt(p))/2 up to the middle of its period."""
+    a0 = math.isqrt(p)
+    m, den, den_prev, s = 1, 2, (p - 1) // 2, 0
+    while True:
+        a = (a0 + m) // den
+        m = a * den - m
+        den_prev, den = den, (p - m * m) // den
+        s += 1
+        if den == den_prev:
+            return s
 
 
 def test_pell_is_fundamental():
