@@ -16,9 +16,10 @@ import json
 import math
 import os
 import struct
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from multiprocessing import get_all_start_methods, get_context
 from types import SimpleNamespace
 
@@ -142,12 +143,49 @@ def _context(d: int) -> DContext:
     return DContext(factor_squarefree(d))
 
 
-def _scan_chunk(args: tuple[int, int, int, int]) -> list[dict]:
+def _scan_chunk(args: tuple[int, int, int, int]) -> tuple[list[dict], list[tuple[int, int]]]:
+    """The records of the candidates in [lo, hi], as one per shape and (p, index into those) pairs."""
     d, lo, hi, seed = args
     ctx = _context(d)
-    return [
-        record_of(evaluate(ctx, p, construction_check=_sampled(p, seed))) for p in ctx.candidates(lo, hi)
-    ]
+    ids, shapes, pairs = {}, [], []
+    for p in ctx.candidates(lo, hi):
+        v = evaluate(ctx, p, construction_check=_sampled(p, seed))
+        ab = v.decomposition and (v.decomposition.a, v.decomposition.b)
+        key = (v.m, v.in_P, v.reason, v.e_totally_real, v.q_direct, v.q_governing, ab, v.alarms)
+        if key not in ids:
+            ids[key] = len(shapes)
+            shapes.append(record_of(v))
+        pairs.append((p, ids[key]))
+    return shapes, pairs
+
+
+class _Records(list):
+    """Records in ascending prime order, with the shape of each kept apart.
+
+    A shape is the keys and the repr of every value but p (so True and 1
+    differ).  ids[k] is the k-th record's index into shapes, which holds the
+    first record seen with each shape.  Treat the list as read-only.
+    """
+
+    def __init__(self, records: list[dict], shapes: list[dict], ids: list[int]):
+        super().__init__()
+        self.shapes, self.ids, self._index = [], [], {}
+        self.add(records, shapes, ids)
+
+    def add(self, records: list[dict], shapes: list[dict], ids: list[int]):
+        """Append records, where records[k] has the shape of shapes[ids[k]]."""
+        new = []
+        for shape in shapes:
+            key = (*shape, *map(repr, {**shape, "p": 0}.values()))
+            new.append(self._index.setdefault(key, len(self._index)))
+            if new[-1] == len(self.shapes):
+                self.shapes.append(shape)
+        self.ids += [new[i] for i in ids]
+        self.extend(records)
+
+
+def _shaped(records: list[dict]) -> _Records:
+    return records if isinstance(records, _Records) else _Records(records, records, range(len(records)))
 
 
 def _chunk_ranges(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
@@ -210,6 +248,8 @@ class _CheckpointLog:
                     rec = json.loads(blob)
                 except ValueError:
                     break
+                if type(rec) is not dict or rec.keys() != _RECORD_KEYS or type(rec["p"]) is not int:
+                    break  # JSON, but not a record: cut it back like a torn tail
                 self.records.append(rec)
                 good_end = fh.tell()
         if good_end < os.path.getsize(self.path):
@@ -217,10 +257,9 @@ class _CheckpointLog:
                 fh.truncate(good_end)
 
     def append(self, records: list[dict]):
-        style = (lambda rec: json.dumps(rec, sort_keys=True, separators=(",", ":")), {})
         with open(self.path, "ab") as fh:
-            for rec in records:
-                blob = _row(rec, style).encode()
+            for row in _rows(records, partial(json.dumps, sort_keys=True, separators=(",", ":"))):
+                blob = row.encode()
                 fh.write(struct.pack(">I", len(blob)) + blob)
             fh.flush()
             os.fsync(fh.fileno())
@@ -231,13 +270,15 @@ def summarize(records: list[dict], d: int, X: int, m_filter=None) -> DensitySumm
     t = factor_squarefree(d).t
     ms = range(t + 1) if m_filter is None else sorted(m_filter)
     counts = {m: [0, 0, 0, 0] for m in ms}  # n_total, n_in_P, n_E_real, n_Q2
-    for r in records:
+    shaped = _shaped(records)
+    for i, n in Counter(shaped.ids).items():
+        r = shaped.shapes[i]
         c = counts.get(r["m"])
         if c is not None:
-            c[0] += 1
-            c[1] += bool(r["in_P"])
-            c[2] += bool(r["E_real"])
-            c[3] += r["Q_direct"] == 2
+            c[0] += n
+            c[1] += n * bool(r["in_P"])
+            c[2] += n * bool(r["E_real"])
+            c[3] += n * (r["Q_direct"] == 2)
     rows = []
     for m, (n_total, n_in, n_e, n_q2) in counts.items():
         in_window = m in (t - 1, t - 2) and m >= 0
@@ -272,7 +313,7 @@ def run_scan(cfg: ScanConfig) -> tuple[DensitySummary, list[dict]]:
         raise PreconditionViolated(failure)
 
     log = _CheckpointLog(cfg) if cfg.checkpoint else None
-    records: list[dict] = list(log.records) if log else []
+    records = _shaped(log.records if log else [])
     lo = records[-1]["p"] + 1 if records else 5
     ranges = _chunk_ranges(lo, cfg.X, cfg.workers)
     args = [(cfg.d, a, b, cfg.seed) for a, b in ranges]
@@ -280,18 +321,22 @@ def run_scan(cfg: ScanConfig) -> tuple[DensitySummary, list[dict]]:
     _context.cache_clear()  # forked workers inherit the empty cache
     pool = get_context("fork").Pool(cfg.workers) if cfg.workers > 1 and len(args) > 1 else None
     with pool or nullcontext():
-        for chunk in (pool.imap if pool else map)(_scan_chunk, args):
-            records.extend(chunk)
+        for shapes, pairs in (pool.imap if pool else map)(_scan_chunk, args):
+            chunk = _Records([{**shapes[i], "p": p} for p, i in pairs], shapes, [i for _, i in pairs])
+            records.add(chunk, chunk.shapes, chunk.ids)
             if log:
                 log.append(chunk)
 
     if cfg.m_filter is not None:
-        records = [r for r in records if r["m"] in cfg.m_filter]
+        keep = [shape["m"] in cfg.m_filter for shape in records.shapes]
+        kept = [rec for rec, i in zip(records, records.ids) if keep[i]]
+        records = _Records(kept, records.shapes, [i for i in records.ids if keep[i]])
     summary = summarize(records, cfg.d, cfg.X, cfg.m_filter)
     return summary, records
 
 
 _CSV_FIELDS = ["p", "m", "in_P", "reason", "E_real", "Q_direct", "Q_governing", "a", "b", "alarms"]
+_RECORD_KEYS = frozenset(_CSV_FIELDS)
 _SUMMARY_FIELDS = [
     "m",
     "n_total",
@@ -317,27 +362,22 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _row(rec: dict, style: tuple) -> str:
-    """dump(rec) for style = (dump, templates), from one template per record shape.
-
-    A shape is the keys and the repr of every value but p (so True and 1
-    differ); dump itself makes the template, and only p's digits are filled in.
-    """
-    dump, templates = style
-    shape = (*rec, *map(repr, {**rec, "p": 0}.values()))
-    template = templates.get(shape)
-    if template is None:
-        zero, one = dump({**rec, "p": 0}), dump({**rec, "p": 1})
+def _rows(records: list[dict], dump) -> list[str]:
+    """dump(rec) for every record, from one template per shape that only p's digits are filled into."""
+    shaped = _shaped(records)
+    templates = []
+    for shape in shaped.shapes:
+        zero, one = dump({**shape, "p": 0}), dump({**shape, "p": 1})
         cut = len(os.path.commonprefix((zero, one)))
-        template = templates[shape] = (zero[:cut], zero[cut + 1 :])
-    return f"{template[0]}{rec['p']}{template[1]}"
+        templates.append((zero[:cut], zero[cut + 1 :]))
+    return [f"{templates[i][0]}{rec['p']}{templates[i][1]}" for rec, i in zip(shaped, shaped.ids)]
 
 
 def render_csv(summary: DensitySummary, records: list[dict]) -> str:
     """RFC-4180-style table of records, then a blank line and the summary."""
     line = csv.writer(SimpleNamespace(write=str), lineterminator="\n")  # writerow returns the line
-    style = (lambda rec: line.writerow([_cell(rec[k]) for k in _CSV_FIELDS]), {})
-    lines = [line.writerow(_CSV_FIELDS), *(_row(rec, style) for rec in records)]
+    rows = _rows(records, lambda rec: line.writerow([_cell(rec[k]) for k in _CSV_FIELDS]))
+    lines = [line.writerow(_CSV_FIELDS), *rows]
     if records:
         lines.append("\n" + line.writerow(_SUMMARY_FIELDS))
         lines += (line.writerow(_cell(getattr(row, k)) for k in _SUMMARY_FIELDS) for row in summary.rows)
@@ -356,9 +396,9 @@ def render_json(summary: DensitySummary, records: list[dict]) -> str:
     }
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     # rows sit two levels deep: "records" is a key of the top-level object
-    style = (lambda rec: json.dumps(rec, sort_keys=True, indent=2).replace("\n", "\n    "), {})
-    rows = ",\n    ".join(_row(rec, style) for rec in records)
-    return text.replace('"records": []', f'"records": [\n    {rows}\n  ]', 1) if records else text
+    rows = _rows(records, lambda rec: json.dumps(rec, sort_keys=True, indent=2).replace("\n", "\n    "))
+    body = ",\n    ".join(rows)
+    return text.replace('"records": []', f'"records": [\n    {body}\n  ]', 1) if records else text
 
 
 def report(summary: DensitySummary, records: list[dict], cfg: ScanConfig) -> str:

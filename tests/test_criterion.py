@@ -393,6 +393,21 @@ def test_library_imports_only_names_it_uses():
         assert imported <= used, f"{path.name} imports {sorted(imported - used)} without using them"
 
 
+def test_library_adds_no_defaulted_parameter():
+    # a defaulted parameter is an option some caller may never set; these
+    # three are the whole list, so a new knob has to be argued for here
+    defaulted = set()
+    for path in sorted(pathlib.Path(unitindex.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                named = positional[len(positional) - len(a.defaults) :]
+                named += [arg for arg, default in zip(a.kwonlyargs, a.kw_defaults) if default is not None]
+                defaulted |= {f"{path.stem}.{getattr(node, 'name', 'lambda')}({arg.arg})" for arg in named}
+    assert defaulted == {"cli.main(argv)", "criterion.evaluate(construction_check)", "experiment.summarize(m_filter)"}
+
+
 def test_every_library_error_shares_one_base():
     classes = [
         obj

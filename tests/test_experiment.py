@@ -22,6 +22,7 @@ from unitindex.experiment import (
     ScanConfig,
     _cell,
     hypothesis_failure,
+    record_of,
     render_csv,
     render_json,
     report,
@@ -53,12 +54,38 @@ GOLDEN_REPORTS = {
 }
 
 
-@pytest.mark.parametrize("d, fmt", sorted(GOLDEN_REPORTS))
-def test_report_bytes_match_golden_digests(d, fmt):
-    cfg = ScanConfig(d=d, X=20000, fmt=fmt, seed=1)
+# the m = t-1, t-2 window of the t = 6 d as JSON, pinned before records
+# were kept as shapes
+GOLDEN_WINDOW_REPORT = "a00eed65297cad4ac2f5ce3a3383ef4c8260b30df9e75d741ff1e36ede64c287"
+
+
+@pytest.mark.parametrize(
+    "d, fmt, workers, window",
+    [pytest.param(d, fmt, 1, False, id=f"{d}-{fmt}") for d, fmt in sorted(GOLDEN_REPORTS)]
+    + [pytest.param(d, fmt, 2, False, id=f"{d}-{fmt}-w2") for d, fmt in sorted(GOLDEN_REPORTS)]
+    + [pytest.param(2371330, "json", w, True, id=f"2371330-json-w{w}-window") for w in (1, 2)],
+)
+def test_report_bytes_match_golden_digests(d, fmt, workers, window):
+    t = factor_squarefree(d).t
+    m_filter = frozenset({t - 1, t - 2}) if window else None
+    cfg = ScanConfig(d=d, X=20000, fmt=fmt, seed=1, workers=workers, m_filter=m_filter)
     summary, records = run_scan(cfg)
     text = report(summary, records, cfg)
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS[d, fmt]
+    assert hashlib.sha256(text.encode()).hexdigest() == (GOLDEN_WINDOW_REPORT if window else GOLDEN_REPORTS[d, fmt])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pool_ships_one_record_dict_per_shape(workers):
+    # a chunk comes back as its distinct records and (p, index) pairs
+    shapes, pairs = experiment._scan_chunk((65, 5, 20000, 1))
+    expanded = [{**shapes[i], "p": p} for p, i in pairs]
+    assert len(pairs) > 1000
+    assert len(shapes) <= len({json.dumps({**r, "p": 0}) for r in expanded}) < 10
+    _, records = scan(65, 20000, workers=workers, seed=1)
+    ctx = criterion.DContext(factor_squarefree(65))
+    want = [record_of(criterion.evaluate(ctx, p, experiment._sampled(p, 1))) for p in ctx.candidates(5, 20000)]
+    assert records == want
+    assert records[: len(expanded)] == expanded
 
 
 def test_config_validation():
@@ -191,6 +218,25 @@ def test_checkpoint_survives_torn_length_prefix(tmp_path):
         assert os.path.getsize(ck) == size
         assert r2 == rfull
         assert render_csv(s2, r2) == render_csv(sfull, rfull)
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [b"[1, 2]", b"7", b'{"q": 1}', None],
+    ids=["array", "number", "foreign-object", "record-without-m"],
+)
+def test_checkpoint_cuts_json_that_is_not_a_record(tmp_path, blob):
+    ck = str(tmp_path / "scan.log")
+    sfull, rfull = scan(65, 2000, checkpoint=ck)
+    size = os.path.getsize(ck)
+    if blob is None:
+        blob = json.dumps({k: v for k, v in rfull[-1].items() if k != "m"}).encode()
+    with open(ck, "ab") as fh:
+        fh.write(struct.pack(">I", len(blob)) + blob)
+    s2, r2 = scan(65, 2000, checkpoint=ck)
+    assert os.path.getsize(ck) == size
+    assert r2 == rfull
+    assert render_csv(s2, r2) == render_csv(sfull, rfull)
 
 
 def test_empty_scan_is_header_only():
