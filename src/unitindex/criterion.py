@@ -12,7 +12,7 @@ records a disagreement as an alarm instead of picking a side.
 Facts that depend on p only through its split set (membership, the
 structure tuple, the splitting d = a*b and its cross sign) live in a per-d
 DContext, computed once per split set.  p is proven by the sieve or in
-_classify, d's factors by factor_squarefree: routes call unchecked kernels.
+_classify/evaluate, d's factors by factor_squarefree: routes call unchecked kernels.
 """
 
 from __future__ import annotations
@@ -30,13 +30,13 @@ from .construction import (
     totally_real,
 )
 from .errors import OutOfScopeM, PreconditionViolated, UnitIndexError
-from .gaussian import GaussInt, _sqrt_minus_one, split_primary
+from .gaussian import GaussInt, split_primary
 from .quadfield import _pell_negative_unit
 from .redei import _ordered_factors, redei_rank4
 from .symbols import _fpr, quartic_cross_product
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PrimeVerdict:
     """Everything decided about one prime p relative to a fixed d.
 
@@ -47,6 +47,7 @@ class PrimeVerdict:
     governing verdicts; ``structure`` is the predicted
     (rk2, rk4, rk8, h_plus) of the narrow class group for members with
     m <= t-1.  ``alarms`` collects anything that contradicts the theory.
+    Not frozen: a frozen constructor, one object.__setattr__ per field, was a fifth of a d = 65 evaluate().
     """
 
     p: int
@@ -62,7 +63,7 @@ class PrimeVerdict:
 
     def __post_init__(self):
         if type(self.alarms) is not tuple:
-            object.__setattr__(self, "alarms", tuple(self.alarms))
+            self.alarms = tuple(self.alarms)
         for q in (self.q_direct, self.q_governing):
             if q not in (None, 1, 2):
                 raise PreconditionViolated(f"index must be 1 or 2, got {q!r}")
@@ -116,7 +117,7 @@ class DContext:
 
     def candidates(self, lo: int, hi: int):
         """Yield each prime lo <= p <= hi with p = 1 (mod 4) and p not dividing
-        d; the sieve proved it, so _classify trusts the last one yielded."""
+        d; the sieve proved it, so _classify and evaluate trust the last one yielded."""
         d = self.sd.d
         for p in primes_in_range(lo, hi):
             if p % 4 == 1 and d % p:
@@ -167,9 +168,9 @@ def _context(d: int | SquarefreeD | DContext) -> DContext:
 
 
 def _classify(ctx: DContext, p: int) -> tuple[dict, tuple[int, ...]]:
-    """The one per-prime pass: the PrimeVerdict fields of classify() (reason
-    absent when empty) plus the split set of p.  p is proven prime here,
-    once, unless the context's sieve yielded it."""
+    """The PrimeVerdict fields of classify() (reason absent when empty) plus
+    the split set of p; evaluate() runs the same pass inline.  p is proven
+    prime here, once, unless the context's sieve yielded it."""
     if p != ctx._sieved and not is_prime(p):
         raise PreconditionViolated(f"{p} is not prime")
     if ctx.sd.d % p == 0 or p % 4 != 1:
@@ -245,11 +246,14 @@ def _direct_index(ctx: DContext, p: int, split: tuple[int, ...], e_real: bool) -
     return 2 if e_real and sign == -1 else 1
 
 
-def _governing_index(ctx: DContext, p: int, split: tuple[int, ...]) -> int:
-    # (rho/pi) reads rho in Z[i]/(pi) = F_p, with i at a root r of -1; pi and
-    # its conjugate (r and -r) give the same symbol, since for split q the two
-    # multiply to (q/p) = 1 and at m = t-2 d's two inert factors give (-1)^2
-    r, half = _sqrt_minus_one(p), (p - 1) // 2
+def _governing_index(ctx: DContext, p: int, split: tuple[int, ...], inert: tuple[int, ...]) -> int:
+    # (rho/pi) reads rho in Z[i]/(pi) = F_p, with i at a root r of -1: r = q^((p-1)/4) for
+    # an inert q, a non-residue ((p/q) = -1; 2 is inert only for p = 5 mod 8), so a p with
+    # r^2 != -1 is composite.  pi and its conjugate (r and -r) give the same symbol: for split
+    # q the two multiply to (q/p) = 1, and at m = t-2 d's two inert factors give (-1)^2
+    half = (p - 1) // 2
+    if (r := pow(inert[0], half >> 1, p)) * r % p != p - 1:
+        raise PreconditionViolated(f"{p} is not prime")
     e_real = True
     for q in split:
         rho = ctx.primary(q)
@@ -288,7 +292,7 @@ def unit_index_via_governing(d: int | SquarefreeD, p: int) -> int:
     """
     ctx = _context(d)
     _, split = _member(ctx, p, (ctx.sd.t - 1, ctx.sd.t - 2))
-    return _governing_index(ctx, p, split)
+    return _governing_index(ctx, p, split, _ordered_factors(ctx.sd, p)[1])
 
 
 def predicted_structure(d: int | SquarefreeD, p: int) -> StructurePrediction:
@@ -331,30 +335,29 @@ def evaluate(d: int | SquarefreeD | DContext, p: int, construction_check: bool =
     """
     ctx = _context(d)
     sd = ctx.sd
-    fields, split = _classify(ctx, p)
-    m, in_P, reason = fields["m"], fields["in_P"], fields.get("reason", "")
-    # verdicts are built positionally, in PrimeVerdict's field order
-    if m is None:
-        return PrimeVerdict(p, m, in_P, reason)
-    # E-reality is a property of (d, p) alone; record it even when the
-    # 4-rank filter rejects p, so density denominators are the full m-cell
+    # _classify's pass, straight; verdicts are built positionally, in field order
+    if p != ctx._sieved and not is_prime(p):
+        raise PreconditionViolated(f"{p} is not prime")
+    if sd.d % p == 0 or p % 4 != 1:
+        return PrimeVerdict(p, None, False, "p divides d" if sd.d % p == 0 else "p = 3 (mod 4)")
+    split, inert = _ordered_factors(sd, p)
+    m, t = len(split), sd.t
+    r4, structure = ctx.membership(split, p)
+    # E-reality depends on (d, p) alone: kept for a rejected p, so density denominators are whole m-cells
     e_real = _e_real(p, split)
-    t = sd.t
-    structure = fields.get("structure")
-    if not in_P or m not in (t - 1, t - 2):
-        if in_P and m < t - 2:
-            reason = "index not asserted for m <= t-3"
-        return PrimeVerdict(p, m, in_P, reason, e_real, None, None, structure)
+    if r4 != 0 or m == t:
+        reason = f"composite 4-rank is {r4}" if r4 else "every factor splits; out of family"
+        return PrimeVerdict(p, m, r4 == 0, reason, e_real)
+    if m < t - 2:
+        return PrimeVerdict(p, m, True, "index not asserted for m <= t-3", e_real, None, None, structure)
 
-    alarms: list[str] = []
-    q_direct: int | None = None
-    q_governing: int | None = None
+    alarms, reason, q_direct, q_governing = [], "", None, None
     try:
         q_direct = _direct_index(ctx, p, split, e_real)
     except UnitIndexError as exc:
         alarms.append(f"direct route: {exc}")
     try:
-        q_governing = _governing_index(ctx, p, split)
+        q_governing = _governing_index(ctx, p, split, inert)
     except UnitIndexError as exc:
         if isinstance(exc, PreconditionViolated) and sd.d % 2 == 0 and p % 8 == 5:
             # the dyadic block makes b = p = 5 (mod 8), outside the domain
@@ -366,17 +369,14 @@ def evaluate(d: int | SquarefreeD | DContext, p: int, construction_check: bool =
         alarms.append(f"routes disagree: direct {q_direct}, governing {q_governing}")
     # present once a route found the splitting (only ever for m = t-2)
     dec = ctx._decompositions.get(split)
-
     if construction_check and m == t - 2 and dec is not None and q_direct is not None:
         try:
             beta_real = _construction_real(sd, p, dec)
             if (q_direct == 2) != (e_real and beta_real):
-                alarms.append(
-                    f"construction check: generator sign {beta_real} with E real {e_real} "
-                    f"contradicts index {q_direct}"
-                )
+                alarms.append(f"construction check: generator sign {beta_real} with E real {e_real} "
+                              f"contradicts index {q_direct}")
         except UnitIndexError as exc:
             alarms.append(f"construction check: {exc}")
 
-    return PrimeVerdict(p, m, in_P, reason, e_real, q_direct, q_governing, structure, dec, tuple(alarms))
+    return PrimeVerdict(p, m, True, reason, e_real, q_direct, q_governing, structure, dec, tuple(alarms))
 

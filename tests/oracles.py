@@ -8,8 +8,9 @@ residue symbols of those generators modulo the primes over each factor
 (extended_residue_matrix), whose reduced kernel pins the 4-rank
 (generalized_rank_check).  It also keeps the governing route with the
 primary prime over p built in full by Cornacchia, in either labeling of the
-Gaussian primes (governing_by_cornacchia).  Nothing in the library calls
-this module; tests compare the library against it.
+Gaussian primes (governing_by_cornacchia), and the wide class number of a
+real quadratic field from its forms (wide_class_number).  Nothing in the
+library calls this module; tests compare the library against it.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from unitindex.errors import (
     TheoryViolation,
 )
 from unitindex.gaussian import quad_symbol, split_primary
+from unitindex.qfclassgroup import narrow_class_group
 from unitindex.quadfield import INERT, SPLIT, splitting
 from unitindex.redei import (
     F2Matrix,
@@ -361,3 +363,26 @@ def governing_by_cornacchia(d: int | SquarefreeD | DContext, p: int, conjugate: 
     dec = ctx.decomposition(split, p)
     deeper_real = quad_symbol(label(ctx.primary(ctx.sd.d)), pi) == -ctx.cross(dec)
     return 2 if e_real and deeper_real else 1
+
+
+def _sqrt_period(D: int) -> int:
+    """Length of the period of the continued fraction of sqrt(D), D > 1 not a square."""
+    a0 = math.isqrt(D)
+    m, q, a, n = 0, 1, a0, 0
+    while a != 2 * a0:
+        m = a * q - m
+        q = (D - m * m) // q
+        a = (a0 + m) // q
+        n += 1
+    return n
+
+
+def wide_class_number(D: int) -> int:
+    """Class number h of Q(sqrt(D)), D > 1 squarefree, from the narrow h_plus.
+
+    h = h_plus exactly when a unit of norm -1 exists, that is when the period
+    of sqrt(D) is odd (a norm -1 unit of the maximal order cubes into
+    Z[sqrt(D)]); otherwise h = h_plus / 2.
+    """
+    h_plus = narrow_class_group(D).h_plus
+    return h_plus if _sqrt_period(D) % 2 else h_plus // 2

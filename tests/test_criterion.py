@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import pathlib
 import pkgutil
@@ -6,9 +7,9 @@ import pkgutil
 import pytest
 
 import unitindex
-from oracles import generalized_rank_check, governing_by_cornacchia
+from oracles import generalized_rank_check, governing_by_cornacchia, wide_class_number
 from unitindex import construction, criterion, errors, gaussian
-from unitindex.arith import factor_squarefree, primes_in_range
+from unitindex.arith import factor_squarefree, is_prime, primes_in_range
 from unitindex.construction import find_decomposition
 from unitindex.criterion import (
     DContext,
@@ -23,6 +24,7 @@ from unitindex.criterion import (
 )
 from unitindex.errors import NotCoprime, OutOfScopeM, PreconditionViolated, UnitIndexError
 from unitindex.gaussian import GaussInt, _sqrt_minus_one, quad_symbol, split_primary
+from unitindex.qfclassgroup import verify_hypotheses
 from unitindex.redei import ordered_factors, redei_rank4
 from unitindex.symbols import fpr
 
@@ -175,7 +177,7 @@ def test_governing_route_from_sqrt_minus_one_matches_cornacchia():
                 continue
             pis = (split_primary(p), split_primary(p).conjugate())
             r = _sqrt_minus_one(p)
-            index = _route(criterion._governing_index, ctx, p, split)
+            index = _route(criterion._governing_index, ctx, p, split, ordered_factors(ctx.sd, p)[1])
             rhos = [ctx.primary(q) for q in split]
             if fields["m"] == t - 2:
                 rhos.append(ctx.primary(d))
@@ -188,6 +190,55 @@ def test_governing_route_from_sqrt_minus_one_matches_cornacchia():
                     assert symbol == quad_symbol(rho, pis[0]) == quad_symbol(rho, pis[1]), (d, p, rho)
                 checked += 1
     assert checked > 10000
+
+
+def _least_non_residue(p):
+    return next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+
+
+def test_governing_root_from_an_inert_factor():
+    # an inert factor of d is a non-residue mod p, 2 included at p = 5 (mod 8),
+    # so its ((p-1)/4)-th power is a root of -1; handing the route the least
+    # non-residue instead rebuilds _sqrt_minus_one's root, and the verdict
+    # must not move
+    checked = dyadic = 0
+    for d in (65, 10, 2210, 1185665, 2371330):
+        ctx = DContext(factor_squarefree(d))
+        t = ctx.sd.t
+        for p in ctx.candidates(5, 10**5):
+            fields, split = criterion._classify(ctx, p)
+            if not fields["in_P"] or fields["m"] not in (t - 1, t - 2):
+                continue
+            inert = ordered_factors(ctx.sd, p)[1]
+            r = pow(inert[0], (p - 1) // 4, p)
+            assert r * r % p == p - 1, (d, p, inert)
+            c = _least_non_residue(p)
+            assert pow(c, (p - 1) // 4, p) == _sqrt_minus_one(p)
+            index = _route(criterion._governing_index, ctx, p, split, inert)
+            assert _route(criterion._governing_index, ctx, p, split, (c,)) == index, (d, p)
+            dyadic += inert[0] == 2
+            checked += 1
+    assert checked > 10000 and dyadic > 1000
+
+
+def test_governing_root_refuses_composites():
+    # the route trusts its caller to have proven p; a composite n whose root
+    # does not square to -1 is refused, as _sqrt_minus_one refused it
+    ctx = DContext(factor_squarefree(65))
+    refused = 0
+    for n in range(9, 2 * 10**4, 4):
+        if is_prime(n) or n % 5 == 0 or n % 13 == 0:
+            continue
+        for split, inert in (((13,), (5,)), ((5,), (13,))):
+            r = pow(inert[0], (n - 1) // 4, n)
+            if r * r % n != n - 1:
+                with pytest.raises(PreconditionViolated, match=f"^{n} is not prime$"):
+                    criterion._governing_index(ctx, n, split, inert)
+                refused += 1
+    assert refused > 5000
+    for n in (9, 21, 49, 561, 4033, 8321):
+        with pytest.raises(PreconditionViolated, match="is not prime"):
+            criterion._governing_index(ctx, n, (5,), (13,))
 
 
 @pytest.mark.parametrize("d", [65, 1105, 2371330])
@@ -286,6 +337,51 @@ def test_evaluate_never_alarms_on_healthy_range():
             assert evaluate(d, p, construction_check=True).alarms == ()
 
 
+def test_small_d_sweep_raises_and_alarms_nothing():
+    # every d < 1000 that passes the hypothesis check (t <= 3, odd and even)
+    # and every candidate p <= 10^4, with the construction check on
+    ds = []
+    for d in range(2, 1000):
+        try:
+            sd = factor_squarefree(d)
+        except UnitIndexError:
+            continue
+        if verify_hypotheses(sd).passed:
+            ds.append(sd)
+    evaluated = 0
+    for sd in ds:
+        ctx = DContext(sd)
+        for p in ctx.candidates(2, 10**4):
+            assert evaluate(ctx, p, construction_check=True).alarms == (), (sd.d, p)
+            evaluated += 1
+    assert (len(ds), sum(sd.d % 2 == 0 for sd in ds), evaluated) == (134, 36, 81444)
+
+
+def _v2(n):
+    return (n & -n).bit_length() - 1
+
+
+def test_predicted_structure_obeys_kurodas_class_number_formula():
+    # h(K) = Q * h(p) h(d) h(pd) / 4 for K = Q(sqrt(p), sqrt(d)) (Kuroda), with
+    # the quadratic class numbers from forms, so the 2-part h = Q * 2^(2t-3)
+    # that predicted_structure asserts is checked against an independent count;
+    # the planted exponent 2t-2 must miss every member
+    assert [wide_class_number(D) for D in (3, 10, 34, 79, 226, 229)] == [1, 2, 2, 3, 8, 3]
+    checked = 0
+    for d, X in ((65, 3000), (1105, 2000), (10, 3000), (170, 3000), (32045, 300)):
+        ctx = DContext(factor_squarefree(d))
+        t, h_d = ctx.sd.t, wide_class_number(d)
+        for p in ctx.candidates(5, X):
+            q = evaluate(ctx, p).q_direct
+            if q is None:
+                continue
+            kuroda = _v2(q * wide_class_number(p) * h_d * wide_class_number(p * d)) - 2
+            assert kuroda == _v2(predicted_structure(ctx, p).h), (d, p)
+            assert kuroda != _v2(q << (2 * t - 2)), (d, p)
+            checked += 1
+    assert checked == 577
+
+
 def test_verdict_invariants():
     with pytest.raises(PreconditionViolated):
         PrimeVerdict(p=13, m=0, in_P=True, q_direct=3)
@@ -293,6 +389,36 @@ def test_verdict_invariants():
         PrimeVerdict(p=13, m=0, in_P=False, q_direct=1)
     v = PrimeVerdict(p=13, m=0, in_P=True, alarms=["x"])
     assert v.alarms == ("x",)
+
+
+def test_verdict_shape_is_pinned():
+    # slotted and not frozen: a scan builds one verdict per candidate, and a
+    # frozen constructor, one object.__setattr__ per field, was a fifth of one
+    fields = [(f.name, f.default) for f in dataclasses.fields(PrimeVerdict)]
+    missing = dataclasses.MISSING
+    assert fields == [
+        ("p", missing),
+        ("m", missing),
+        ("in_P", missing),
+        ("reason", ""),
+        ("e_totally_real", None),
+        ("q_direct", None),
+        ("q_governing", None),
+        ("structure", None),
+        ("decomposition", None),
+        ("alarms", ()),
+    ]
+    assert PrimeVerdict.__slots__ == tuple(name for name, _ in fields)
+    assert not PrimeVerdict.__dataclass_params__.frozen
+    v = PrimeVerdict(13, 0, True)
+    assert not hasattr(v, "__dict__")
+    assert v == PrimeVerdict(13, 0, True, "", None, None, None, None, None, ())
+    for q in (0, 3, -1, 2.5, "2"):
+        with pytest.raises(PreconditionViolated, match="index must be 1 or 2"):
+            PrimeVerdict(13, 0, True, q_governing=q)
+    for field in ("q_direct", "q_governing", "structure"):
+        with pytest.raises(PreconditionViolated, match="rejected prime"):
+            PrimeVerdict(13, 2, False, **{field: (1, 1, 0, 4) if field == "structure" else 1})
 
 
 def test_generalized_rank_matches_prediction():
