@@ -12,7 +12,7 @@ records a disagreement as an alarm instead of picking a side.
 Facts that depend on p only through its split set (membership, the
 structure tuple, the splitting d = a*b and its cross sign) live in a per-d
 DContext, computed once per split set.  p is proven by the sieve or in
-_classify/evaluate, d's factors by factor_squarefree: routes call unchecked kernels.
+_classify, d's factors by factor_squarefree: routes call unchecked kernels.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class PrimeVerdict:
     governing verdicts; ``structure`` is the predicted
     (rk2, rk4, rk8, h_plus) of the narrow class group for members with
     m <= t-1.  ``alarms`` collects anything that contradicts the theory.
-    Not frozen: a frozen constructor, one object.__setattr__ per field, was a fifth of a d = 65 evaluate().
+    Not frozen: one object.__setattr__ per field was a fifth of evaluate().
     """
 
     p: int
@@ -117,7 +117,7 @@ class DContext:
 
     def candidates(self, lo: int, hi: int):
         """Yield each prime lo <= p <= hi with p = 1 (mod 4) and p not dividing
-        d; the sieve proved it, so _classify and evaluate trust the last one yielded."""
+        d; the sieve proved it, so _classify trusts the last one yielded."""
         d = self.sd.d
         for p in primes_in_range(lo, hi):
             if p % 4 == 1 and d % p:
@@ -167,40 +167,38 @@ def _context(d: int | SquarefreeD | DContext) -> DContext:
     return DContext(d if isinstance(d, SquarefreeD) else factor_squarefree(d))
 
 
-def _classify(ctx: DContext, p: int) -> tuple[dict, tuple[int, ...]]:
-    """The PrimeVerdict fields of classify() (reason absent when empty) plus
-    the split set of p; evaluate() runs the same pass inline.  p is proven
-    prime here, once, unless the context's sieve yielded it."""
+def _classify(ctx: DContext, p: int) -> tuple:
+    """The one per-prime pass: (m, in_P, reason, structure, split, inert),
+    the classify() fields of a PrimeVerdict plus p's split and inert factors
+    of d.  p is proven prime here, once, unless the context's sieve yielded it."""
     if p != ctx._sieved and not is_prime(p):
         raise PreconditionViolated(f"{p} is not prime")
     if ctx.sd.d % p == 0 or p % 4 != 1:
-        reason = "p divides d" if ctx.sd.d % p == 0 else "p = 3 (mod 4)"
-        return {"p": p, "m": None, "in_P": False, "reason": reason}, ()
-    split, _ = _ordered_factors(ctx.sd, p)
+        return None, False, "p divides d" if ctx.sd.d % p == 0 else "p = 3 (mod 4)", None, (), ()
+    split, inert = _ordered_factors(ctx.sd, p)
     m = len(split)
     r4, structure = ctx.membership(split, p)
     if r4 != 0:
-        return {"p": p, "m": m, "in_P": False, "reason": f"composite 4-rank is {r4}"}, split
-    if m == ctx.sd.t:
-        return {"p": p, "m": m, "in_P": True, "reason": "every factor splits; out of family"}, split
-    return {"p": p, "m": m, "in_P": True, "structure": structure}, split
+        return m, False, f"composite 4-rank is {r4}", None, split, inert
+    reason = "every factor splits; out of family" if m == ctx.sd.t else ""
+    return m, True, reason, structure, split, inert
 
 
-def _member(ctx: DContext, p: int, scope) -> tuple[dict, tuple[int, ...]]:
+def _member(ctx: DContext, p: int, scope) -> tuple:
     """_classify() for a member p whose split count m lies in ``scope``.
 
     Scope is checked before membership, so an out-of-scope m raises
     OutOfScopeM even when p is not in the family either.
     """
-    fields, split = _classify(ctx, p)
-    sd, m = ctx.sd, fields["m"]
+    fields = _classify(ctx, p)
+    sd, (m, in_P, reason) = ctx.sd, fields[:3]
     if m is None:
         raise PreconditionViolated(f"{p} is not a candidate prime for d = {sd.d}")
     if m not in scope:
         raise OutOfScopeM(f"m = {m} with t = {sd.t} is outside m in {sorted(scope)}")
-    if not fields["in_P"]:
-        raise PreconditionViolated(f"p = {p} is not in the family for d = {sd.d}: {fields['reason']}")
-    return fields, split
+    if not in_P:
+        raise PreconditionViolated(f"p = {p} is not in the family for d = {sd.d}: {reason}")
+    return fields
 
 
 def classify(d: int | SquarefreeD, p: int) -> PrimeVerdict:
@@ -210,8 +208,8 @@ def classify(d: int | SquarefreeD, p: int) -> PrimeVerdict:
     4-rank of the composite discriminant d*p.  Members with every factor
     split (m = t) are flagged in ``reason`` and never evaluated further.
     """
-    fields, _ = _classify(_context(d), p)
-    return PrimeVerdict(**fields)
+    m, in_P, reason, structure, _, _ = _classify(_context(d), p)
+    return PrimeVerdict(p, m, in_P, reason, structure=structure)
 
 
 def _e_real(p: int, split: tuple[int, ...]) -> bool:
@@ -229,8 +227,8 @@ def e_totally_real(d: int | SquarefreeD, p: int) -> bool:
     p = 1 (mod 8), which is what fpr(p, 2) needs.
     """
     ctx = _context(d)
-    fields, split = _classify(ctx, p)
-    if fields["m"] is None:
+    m, _, _, _, split, _ = _classify(ctx, p)
+    if m is None:
         raise PreconditionViolated(f"{p} is not a candidate prime for d = {ctx.sd.d}")
     return _e_real(p, split)
 
@@ -278,7 +276,7 @@ def unit_index(d: int | SquarefreeD, p: int) -> int:
     expanded over their prime factors.
     """
     ctx = _context(d)
-    _, split = _member(ctx, p, (ctx.sd.t - 1, ctx.sd.t - 2))
+    split = _member(ctx, p, (ctx.sd.t - 1, ctx.sd.t - 2))[4]
     return _direct_index(ctx, p, split, _e_real(p, split))
 
 
@@ -291,8 +289,8 @@ def unit_index_via_governing(d: int | SquarefreeD, p: int) -> int:
     mutual quartic sign of the decomposition.
     """
     ctx = _context(d)
-    _, split = _member(ctx, p, (ctx.sd.t - 1, ctx.sd.t - 2))
-    return _governing_index(ctx, p, split, _ordered_factors(ctx.sd, p)[1])
+    *_, split, inert = _member(ctx, p, (ctx.sd.t - 1, ctx.sd.t - 2))
+    return _governing_index(ctx, p, split, inert)
 
 
 def predicted_structure(d: int | SquarefreeD, p: int) -> StructurePrediction:
@@ -307,13 +305,13 @@ def predicted_structure(d: int | SquarefreeD, p: int) -> StructurePrediction:
     if t < 2:
         raise PreconditionViolated("structure formulas need at least two factors in d")
     # every factor split (m = t) asserts no structure
-    fields, split = _member(ctx, p, range(t))
-    if fields["m"] in (t - 1, t - 2):
+    m, _, _, structure, split, _ = _member(ctx, p, range(t))
+    if m in (t - 1, t - 2):
         q = _direct_index(ctx, p, split, _e_real(p, split))
         h, q_range = q << (2 * t - 3), (q,)
     else:
         h, q_range = None, (1, 2)
-    return StructurePrediction(*fields["structure"], h=h, q_range=q_range)
+    return StructurePrediction(*structure, h=h, q_range=q_range)
 
 
 def _construction_real(sd: SquarefreeD, p: int, dec: Decomposition) -> bool:
@@ -335,23 +333,22 @@ def evaluate(d: int | SquarefreeD | DContext, p: int, construction_check: bool =
     """
     ctx = _context(d)
     sd = ctx.sd
-    # _classify's pass, straight; verdicts are built positionally, in field order
-    if p != ctx._sieved and not is_prime(p):
-        raise PreconditionViolated(f"{p} is not prime")
-    if sd.d % p == 0 or p % 4 != 1:
-        return PrimeVerdict(p, None, False, "p divides d" if sd.d % p == 0 else "p = 3 (mod 4)")
-    split, inert = _ordered_factors(sd, p)
-    m, t = len(split), sd.t
-    r4, structure = ctx.membership(split, p)
-    # E-reality depends on (d, p) alone: kept for a rejected p, so density denominators are whole m-cells
+    m, in_P, reason, structure, split, inert = _classify(ctx, p)
+    # verdicts are built positionally, in PrimeVerdict's field order
+    if m is None:
+        return PrimeVerdict(p, m, in_P, reason)
+    # E-reality is a property of (d, p) alone; record it even when the
+    # 4-rank filter rejects p, so density denominators are the full m-cell
     e_real = _e_real(p, split)
-    if r4 != 0 or m == t:
-        reason = f"composite 4-rank is {r4}" if r4 else "every factor splits; out of family"
-        return PrimeVerdict(p, m, r4 == 0, reason, e_real)
-    if m < t - 2:
-        return PrimeVerdict(p, m, True, "index not asserted for m <= t-3", e_real, None, None, structure)
+    t = sd.t
+    if not in_P or m not in (t - 1, t - 2):
+        if in_P and m < t - 2:
+            reason = "index not asserted for m <= t-3"
+        return PrimeVerdict(p, m, in_P, reason, e_real, None, None, structure)
 
-    alarms, reason, q_direct, q_governing = [], "", None, None
+    alarms: list[str] = []
+    q_direct: int | None = None
+    q_governing: int | None = None
     try:
         q_direct = _direct_index(ctx, p, split, e_real)
     except UnitIndexError as exc:
@@ -369,14 +366,17 @@ def evaluate(d: int | SquarefreeD | DContext, p: int, construction_check: bool =
         alarms.append(f"routes disagree: direct {q_direct}, governing {q_governing}")
     # present once a route found the splitting (only ever for m = t-2)
     dec = ctx._decompositions.get(split)
+
     if construction_check and m == t - 2 and dec is not None and q_direct is not None:
         try:
             beta_real = _construction_real(sd, p, dec)
             if (q_direct == 2) != (e_real and beta_real):
-                alarms.append(f"construction check: generator sign {beta_real} with E real {e_real} "
-                              f"contradicts index {q_direct}")
+                alarms.append(
+                    f"construction check: generator sign {beta_real} with E real {e_real} "
+                    f"contradicts index {q_direct}"
+                )
         except UnitIndexError as exc:
             alarms.append(f"construction check: {exc}")
 
-    return PrimeVerdict(p, m, True, reason, e_real, q_direct, q_governing, structure, dec, tuple(alarms))
+    return PrimeVerdict(p, m, in_P, reason, e_real, q_direct, q_governing, structure, dec, tuple(alarms))
 

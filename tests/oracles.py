@@ -351,7 +351,7 @@ def governing_by_cornacchia(d: int | SquarefreeD | DContext, p: int, conjugate: 
     """
     ctx = _context(d)
     t = ctx.sd.t
-    _, split = _member(ctx, p, (t - 1, t - 2))
+    split = _member(ctx, p, (t - 1, t - 2))[4]
 
     def label(pi):
         return pi.conjugate() if conjugate else pi

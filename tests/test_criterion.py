@@ -172,14 +172,14 @@ def test_governing_route_from_sqrt_minus_one_matches_cornacchia():
         ctx = DContext(factor_squarefree(d))
         t = ctx.sd.t
         for p in ctx.candidates(5, 10**5):
-            fields, split = criterion._classify(ctx, p)
-            if not fields["in_P"] or fields["m"] not in (t - 1, t - 2):
+            m, in_P, _, _, split, inert = criterion._classify(ctx, p)
+            if not in_P or m not in (t - 1, t - 2):
                 continue
             pis = (split_primary(p), split_primary(p).conjugate())
             r = _sqrt_minus_one(p)
-            index = _route(criterion._governing_index, ctx, p, split, ordered_factors(ctx.sd, p)[1])
+            index = _route(criterion._governing_index, ctx, p, split, inert)
             rhos = [ctx.primary(q) for q in split]
-            if fields["m"] == t - 2:
+            if m == t - 2:
                 rhos.append(ctx.primary(d))
             for conjugate in (False, True):
                 assert _route(governing_by_cornacchia, ctx, p, conjugate) == index, (d, p, conjugate)
@@ -206,10 +206,9 @@ def test_governing_root_from_an_inert_factor():
         ctx = DContext(factor_squarefree(d))
         t = ctx.sd.t
         for p in ctx.candidates(5, 10**5):
-            fields, split = criterion._classify(ctx, p)
-            if not fields["in_P"] or fields["m"] not in (t - 1, t - 2):
+            m, in_P, _, _, split, inert = criterion._classify(ctx, p)
+            if not in_P or m not in (t - 1, t - 2):
                 continue
-            inert = ordered_factors(ctx.sd, p)[1]
             r = pow(inert[0], (p - 1) // 4, p)
             assert r * r % p == p - 1, (d, p, inert)
             c = _least_non_residue(p)
@@ -368,7 +367,7 @@ def test_predicted_structure_obeys_kurodas_class_number_formula():
     # the planted exponent 2t-2 must miss every member
     assert [wide_class_number(D) for D in (3, 10, 34, 79, 226, 229)] == [1, 2, 2, 3, 8, 3]
     checked = 0
-    for d, X in ((65, 3000), (1105, 2000), (10, 3000), (170, 3000), (32045, 300)):
+    for d, X in ((65, 3000), (1105, 1500), (10, 3000), (170, 2000), (32045, 300)):
         ctx = DContext(factor_squarefree(d))
         t, h_d = ctx.sd.t, wide_class_number(d)
         for p in ctx.candidates(5, X):
@@ -379,7 +378,7 @@ def test_predicted_structure_obeys_kurodas_class_number_formula():
             assert kuroda == _v2(predicted_structure(ctx, p).h), (d, p)
             assert kuroda != _v2(q << (2 * t - 2)), (d, p)
             checked += 1
-    assert checked == 577
+    assert checked == 510
 
 
 def test_verdict_invariants():

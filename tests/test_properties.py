@@ -92,11 +92,11 @@ def test_context_tables_match_per_prime_oracles(sd, ps):
     for p in ps:
         if sd.d % p == 0:
             continue
-        fields, split = criterion._classify(ctx, p)
-        assert split == ordered_factors(sd, p)[0]
+        m, in_P, _, _, split, inert = criterion._classify(ctx, p)
+        assert (split, inert) == ordered_factors(sd, p)
         r4 = redei_rank4(criterion._composite(sd, p))
         assert ctx.membership(split, p)[0] == r4
-        assert (fields["m"], fields["in_P"]) == (len(split), r4 == 0)
+        assert (m, in_P) == (len(split), r4 == 0)
 
 
 @_bounded
