@@ -31,19 +31,23 @@ def _parse_m_filter(text: str) -> frozenset[int]:
 def read_config(path: str) -> dict:
     """Flat key=value file; blank lines and # comments are ignored."""
     settings: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise PreconditionViolated(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in _CONFIG_KEYS:
-                raise PreconditionViolated(f"{path}:{lineno}: unknown key {key!r}")
-            settings[key] = value
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:
+        raise PreconditionViolated(f"{path} is not UTF-8 text: {exc.reason}")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise PreconditionViolated(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in _CONFIG_KEYS:
+            raise PreconditionViolated(f"{path}:{lineno}: unknown key {key!r}")
+        settings[key] = value
     return settings
 
 

@@ -18,6 +18,7 @@ _classify, d's factors by factor_squarefree: routes call unchecked kernels.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 from .arith import SquarefreeD, factor_squarefree, is_prime, primes_in_range
@@ -106,6 +107,7 @@ class DContext:
     depend on p only through S.  Each entry is filled by those per-prime
     definitions at the first p with its S and reused for every later one;
     a fill that raises stores nothing.  So are the primes over d's factors.
+    A scan fills every table once, in the parent, before its pool forks.
     """
 
     sd: SquarefreeD
@@ -123,6 +125,24 @@ class DContext:
             if p % 4 == 1 and d % p:
                 object.__setattr__(self, "_sieved", p)
                 yield p
+
+    def fill(self, lo: int, hi: int) -> None:
+        """Fill each split set's entries, as evaluate would, at its first candidate in [lo, hi]."""
+        t = self.sd.t
+        for p in self.candidates(lo, hi):
+            split = _ordered_factors(self.sd, p)[0]
+            if split in self._membership:
+                continue
+            with suppress(UnitIndexError):  # evaluate meets the error again and records it
+                if self.membership(split, p)[0] == 0 and len(split) in (t - 1, t - 2):
+                    for q in split:
+                        self.primary(q)
+                    if len(split) == t - 2:
+                        dec = self.decomposition(split, p)
+                        self.primary(self.sd.d)
+                        self.cross(dec)
+            if len(self._membership) == 1 << t:
+                return
 
     def membership(self, split: tuple[int, ...], p: int) -> tuple[int, tuple | None]:
         """Composite 4-rank of d*p and the predicted (rk2, rk4, rk8, h_plus)

@@ -318,7 +318,8 @@ def run_scan(cfg: ScanConfig) -> tuple[DensitySummary, list[dict]]:
     ranges = _chunk_ranges(lo, cfg.X, cfg.workers)
     args = [(cfg.d, a, b, cfg.seed) for a, b in ranges]
 
-    _context.cache_clear()  # forked workers inherit the empty cache
+    _context.cache_clear()
+    _context(cfg.d).fill(lo, cfg.X)  # forked workers inherit the filled tables
     pool = get_context("fork").Pool(cfg.workers) if cfg.workers > 1 and len(args) > 1 else None
     with pool or nullcontext():
         for shapes, pairs in (pool.imap if pool else map)(_scan_chunk, args):

@@ -5,6 +5,7 @@ teed run reads as a checklist.  The two million-bound scans dominate the
 runtime; everything else is seconds.
 """
 
+import math
 import os
 import random
 import time
@@ -33,6 +34,15 @@ from unitindex.redei import redei_rank4
 from unitindex.symbols import INFINITY, fpr, hilbert
 
 _WORKERS = min(8, os.cpu_count() or 1)
+# binomial |z| bound beside the fixed 0.05 gates, set before any scan was
+# read; applied only to rows with m <= t-2, which the theory calls unbiased
+# (the m >= t-1 rows lose primes at order sqrt(X)/ln X, a Chebyshev-type bias)
+_Z_BOUND = 4
+
+
+def _z(hits, n, share):
+    """Binomial z-score of hits successes in n trials against probability share."""
+    return (hits - n * share) / math.sqrt(n * share * (1 - share))
 
 
 def _verdict(criterion, ok, detail):
@@ -112,30 +122,43 @@ def test_3_index_density_d65():
     summary, records = _scan(65, 10**6)
     elapsed = time.time() - t0
     freqs = {row.m: row.freq_Q2 for row in summary.rows if row.m in (0, 1)}
+    row0 = next(row for row in summary.rows if row.m == 0)  # m = t-2
+    z0 = _z(row0.n_Q2, row0.n_in_P, 0.5)
     alarmed = sum(1 for r in records if r["alarms"])
     ok = (
         all(abs(freqs[m] - 0.5) < 0.05 for m in (0, 1))
+        and abs(z0) <= _Z_BOUND
         and elapsed < 300
         and alarmed == 0
     )
     _verdict(
         3,
         ok,
-        f"d=65 to 1e6: freq_Q2 m=0 {freqs[0]:.4f}, m=1 {freqs[1]:.4f} "
-        f"(target 0.5 within 0.05); {elapsed:.0f}s with {_WORKERS} workers; {alarmed} alarms",
+        f"d=65 to 1e6: freq_Q2 m=0 {freqs[0]:.4f} (z {z0:+.2f}), m=1 {freqs[1]:.4f} "
+        f"(target 0.5 within 0.05, |z| <= {_Z_BOUND} at m=0); {elapsed:.0f}s with {_WORKERS} workers; "
+        f"{alarmed} alarms",
     )
 
 
 def test_4_e_real_density_d1105():
     summary, records = _scan(1105, 10**6)
     freqs = {row.m: row.freq_E_real for row in summary.rows if row.m in (0, 1, 2)}
+    rows = {row.m: row for row in summary.rows}
+    # m = 0 asserts E real for every prime; m = 1 = t-2 is a fair coin
+    z1 = _z(rows[1].n_E_real, rows[1].n_total, 0.5)
     alarmed = sum(1 for r in records if r["alarms"])
-    ok = all(abs(freqs[m] - 0.5**m) < 0.05 for m in (0, 1, 2)) and alarmed == 0
+    ok = (
+        all(abs(freqs[m] - 0.5**m) < 0.05 for m in (0, 1, 2))
+        and rows[0].n_E_real == rows[0].n_total
+        and abs(z1) <= _Z_BOUND
+        and alarmed == 0
+    )
     _verdict(
         4,
         ok,
-        f"d=1105 to 1e6: freq_E_real {freqs[0]:.4f}/{freqs[1]:.4f}/{freqs[2]:.4f} "
-        f"for m=0,1,2 (targets 1, 0.5, 0.25 within 0.05); {alarmed} alarms",
+        f"d=1105 to 1e6: freq_E_real {freqs[0]:.4f}/{freqs[1]:.4f} (z {z1:+.2f})/{freqs[2]:.4f} "
+        f"for m=0,1,2 (targets 1, 0.5, 0.25 within 0.05; m=0 all {rows[0].n_total} real, "
+        f"|z| <= {_Z_BOUND} at m=1); {alarmed} alarms",
     )
 
 

@@ -92,6 +92,14 @@ def test_config_rejects_bad_line(tmp_path, capsys):
     assert "expected key=value" in err
 
 
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    conf = tmp_path / "scan.conf"
+    conf.write_bytes(b"d=65\nX=100\n\xff\xfe=1\n")
+    code, out, err = run(capsys, ["--config", str(conf)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {conf} is not UTF-8 text: invalid start byte\n"
+
+
 def test_config_empty_m_filter_exits_2(tmp_path, capsys):
     conf = tmp_path / "scan.conf"
     conf.write_text("d = 65\nX = 100\nm = ,\n")

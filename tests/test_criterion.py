@@ -482,6 +482,30 @@ def test_split_set_tables_match_per_prime_oracles(d):
     assert checked > 200
 
 
+@pytest.mark.parametrize("d", [65, 1105, 32045, 1185665, 2371330, 10, 2210, 188080853285])
+def test_fill_does_not_depend_on_the_prime_that_fills_it(d):
+    # t = 2..6 and 8, odd and even d: the tables hold facts of the split
+    # set, so a fill that starts far up the prime range stores the same
+    names = ("_membership", "_decompositions", "_cross", "_primaries")
+    early, late = DContext(factor_squarefree(d)), DContext(factor_squarefree(d))
+    early.fill(5, 10**6)
+    late.fill(100_001, 10**6)
+    assert len(early._membership) == 1 << early.sd.t
+    for name in names:
+        assert getattr(early, name) == getattr(late, name), name
+    # the fill stops at the first candidate of the last split set to appear
+    assert late._sieved < 300_000
+    # evaluating the filled range adds no entry, also in ranges too short to
+    # meet every split set; a fill that raised stays empty in both
+    for lo, hi in ((5, 3000), (100_001, 100_100), (999_001, 999_200)):
+        ctx = DContext(factor_squarefree(d))
+        ctx.fill(lo, hi)
+        filled = [dict(getattr(ctx, name)) for name in names]
+        for p in ctx.candidates(lo, hi):
+            evaluate(ctx, p)
+        assert [getattr(ctx, name) for name in names] == filled, (lo, hi)
+
+
 def test_library_keeps_no_test_only_oracle():
     # the split-generator matrix route lives in tests/oracles.py; the
     # library keeps one path per fact and imports nothing from the tests

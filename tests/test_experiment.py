@@ -336,8 +336,16 @@ def test_scan_splits_each_prime_once_and_fills_tables_per_split_set(monkeypatch)
         "quartic_cross_product": 0,
         "split_primary": 0,
     }
-    factors = (5, 13, 17)
+    sd = factor_squarefree(1105)
+    factors = sd.factors
     chunks = [0]
+    # run_scan's fill splits each candidate it walks, from the first up to
+    # the one at which the last of the 2^3 split sets first appears
+    seen, walked = set(), 0
+    for p in primes_in_range(5, 20000):
+        if p % 4 == 1 and 1105 % p and len(seen) < 1 << 3:
+            walked += 1
+            seen.add(ordered_factors(sd, p)[0])
 
     def counting(module, name):
         inner = getattr(module, name)
@@ -366,11 +374,65 @@ def test_scan_splits_each_prime_once_and_fills_tables_per_split_set(monkeypatch)
         calls.update(dict.fromkeys(calls, 0))
         chunks[0] = 0
         _, records = scan(1105, 20000, workers=1)
-        assert calls["_ordered_factors"] == len(records) > 1000
+        # the per-prime pass splits each candidate once, the fill each it walks
+        assert calls["_ordered_factors"] == len(records) + walked and len(records) > 1000
+        assert len(seen) == 1 << 3 and walked < len(records)
         assert chunks[0] > 1
-        for name in ("redei_rank4", "find_decomposition", "quartic_cross_product"):
-            assert 0 < calls[name] <= 1 << 3, name
-        assert 0 < calls["split_primary"] <= len(factors)
+        ctx = experiment._context(1105)
+        tables = {
+            "redei_rank4": ctx._membership,
+            "find_decomposition": ctx._decompositions,
+            "quartic_cross_product": ctx._cross,
+        }
+        for name, table in tables.items():
+            assert 0 < calls[name] == len(table) <= 1 << 3, name
+        assert 0 < calls["split_primary"] == len(factors) == sum(q in ctx._primaries for q in factors)
+
+
+@pytest.mark.parametrize("d", [65, 1105, 1185665, 2371330])
+def test_one_worker_scan_fills_no_table_inside_its_chunks(d, monkeypatch):
+    # run_scan fills the tables before the first chunk, so a chunk only
+    # reads them.  The one exception is a fill that raised and so stored
+    # nothing: for even d, the cross sign at p = 5 (mod 8), m = t-2
+    factors = factor_squarefree(d).factors
+    inside = [False]
+    in_chunks = []
+
+    def counting(name):
+        inner = getattr(criterion, name)
+
+        def wrapper(*args, **kwargs):
+            raised = True
+            try:
+                result = inner(*args, **kwargs)
+                raised = False
+                return result
+            finally:
+                if inside[0] and (name != "split_primary" or args[0] in factors):
+                    in_chunks.append((name, raised))
+
+        monkeypatch.setattr(criterion, name, wrapper)
+
+    for name in ("redei_rank4", "find_decomposition", "quartic_cross_product", "split_primary"):
+        counting(name)
+    chunk = experiment._scan_chunk
+
+    def marking(args):
+        inside[0] = True
+        try:
+            return chunk(args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(experiment, "_scan_chunk", marking)
+    _, records = scan(d, 20000, workers=1)
+    assert len(records) > 1000
+    if d % 2:
+        assert in_chunks == []
+    else:
+        assert set(in_chunks) == {("quartic_cross_product", True)}
+        refused = [r for r in records if r["reason"] == "governing route undefined: b = 5 (mod 8)"]
+        assert len(in_chunks) == len(refused) > 0
 
 
 def test_scan_never_reproves_a_sieve_prime(monkeypatch):
