@@ -89,7 +89,7 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, help="concurrent scan processes (default 1)")
     parser.add_argument("--out", help="write the report here instead of stdout")
     parser.add_argument("--format", choices=("csv", "json"), help="report format (default csv)")
-    parser.add_argument("--checkpoint", help="binary record log for resumable scans")
+    parser.add_argument("--checkpoint", help="JSON Lines record log for resumable scans")
     parser.add_argument("--seed", type=int, help="seed for sampled construction cross-checks")
     parser.add_argument("--config", help="key=value settings file; flags override it")
     return parser
@@ -106,7 +106,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     if cfg.out:
-        print(f"wrote {cfg.out}: {len(records)} primes scanned for d = {cfg.d}")
+        print(f"wrote {cfg.out}: {len(records)} records for d = {cfg.d}")
     else:
         sys.stdout.write(text)
 

@@ -5,7 +5,7 @@ evaluates the full verdict, and aggregates per-m density rows against the
 predicted limits.  Work is chunked over prime ranges so several workers can
 run concurrently; a single merger keeps the record stream in ascending
 prime order, which makes the output independent of the worker count.  An
-optional binary checkpoint log makes interrupted scans resumable without
+optional JSON Lines checkpoint log makes interrupted scans resumable without
 changing a byte of the final report.
 """
 
@@ -15,11 +15,10 @@ import csv
 import json
 import math
 import os
-import struct
 from collections import Counter
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass
-from functools import lru_cache, partial
+from dataclasses import asdict, dataclass, fields
+from functools import lru_cache
 from multiprocessing import get_all_start_methods, get_context
 from types import SimpleNamespace
 
@@ -31,9 +30,9 @@ from .qfclassgroup import HypothesisReport, verify_hypotheses
 
 SCHEMA_VERSION = 1
 
-_MAGIC = b"UIDXSCN\x00"
-_LOG_VERSION = 3
-_HEADER = struct.Struct(">QQIH")  # d, X, low 32 bits of the seed, package version length
+_MAGIC = b"UIDXSCN\x00"  # how the binary logs of versions 2 and 3 began
+_LOG_VERSION = 4
+_HEAD_MAX = 4096  # bytes read for the header line, which is far shorter
 _SAMPLE_MOD = 64  # about one construction cross-check per this many primes
 
 
@@ -61,9 +60,6 @@ class ScanConfig:
             object.__setattr__(self, "m_filter", frozenset(self.m_filter))
             if min(self.m_filter, default=0) < 0:
                 raise PreconditionViolated(f"m must be nonnegative, got {min(self.m_filter)}")
-        if self.checkpoint and max(self.d, self.X) >> 64:
-            # the checkpoint header stores d and X as unsigned 64-bit integers
-            raise PreconditionViolated("a checkpoint needs d and X below 2^64")
 
 
 @dataclass(frozen=True)
@@ -189,78 +185,73 @@ def _shaped(records: list[dict]) -> _Records:
 
 
 def _chunk_ranges(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
-    pieces = workers * 4
-    span = max((hi - lo) // pieces + 1, 1000)
-    ranges = []
-    a = lo
-    while a <= hi:
-        b = min(a + span - 1, hi)
-        ranges.append((a, b))
-        a = b + 1
-    return ranges
+    span = max((hi - lo) // (workers * 4) + 1, 1000)
+    return [(a, min(a + span - 1, hi)) for a in range(lo, hi + 1, span)]
+
+
+def _compact(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _parsed(line: bytes):
+    """The JSON value of a newline-terminated line; None if it is torn or not JSON."""
+    try:
+        return json.loads(line) if line.endswith(b"\n") else None
+    except ValueError:
+        return None
 
 
 class _CheckpointLog:
-    """Append-only length-prefixed record log with a magic header.
+    """Append-only JSON Lines record log.
 
-    Layout: 8-byte magic, one version byte, big-endian u64 d, u64 X,
-    u32 sampling seed (the low 32 bits, all that _sampled reads) and the
-    package version as a u16 length and UTF-8 text, then records, each a
-    big-endian u32 byte length followed by compact JSON.  A torn tail
-    (from a killed scan) is truncated on open.
+    The first line is the header {"X", "d", "log", "seed", "version"}: the
+    scan bound, d, the log version, the low 32 bits of the sampling seed
+    (all that _sampled reads) and the package version.  Each later line is
+    one record as compact sorted-key JSON.  On open, the log is cut back at
+    the first line that is torn (from a killed scan), not JSON or not a
+    record.
     """
 
     def __init__(self, cfg: ScanConfig):
         self.path = cfg.checkpoint
-        self.header = (cfg.d, cfg.X, cfg.seed & 0xFFFFFFFF, __version__.encode())
+        head = {"X": cfg.X, "d": cfg.d, "log": _LOG_VERSION, "seed": cfg.seed & 0xFFFFFFFF, "version": __version__}
+        self.header = f"{_compact(head)}\n".encode()
         self.records: list[dict] = []
         if os.path.exists(self.path) and os.path.getsize(self.path) > 0:
             self._load()
         else:
             with open(self.path, "wb") as fh:
-                fh.write(_MAGIC + bytes([_LOG_VERSION]) + _HEADER.pack(*self.header[:3], len(self.header[3])))
-                fh.write(self.header[3])
+                fh.write(self.header)
 
     def _load(self):
         with open(self.path, "rb") as fh:
-            head = fh.read(len(_MAGIC) + 1 + _HEADER.size)
-            if len(head) > len(_MAGIC) and head.startswith(_MAGIC) and head[len(_MAGIC)] != _LOG_VERSION:
-                raise PreconditionViolated(f"unsupported checkpoint version {head[len(_MAGIC)]}")
-            if len(head) < len(_MAGIC) + 1 + _HEADER.size or not head.startswith(_MAGIC):
+            first = fh.readline(_HEAD_MAX)
+            if first.startswith(_MAGIC) and len(first) > len(_MAGIC):
+                raise PreconditionViolated(f"unsupported checkpoint version {first[len(_MAGIC)]}")
+            head = _parsed(first)
+            if type(head) is not dict or head.keys() != {"X", "d", "log", "seed", "version"}:
                 raise PreconditionViolated(f"{self.path} is not a scan checkpoint")
-            d, X, seed, n = _HEADER.unpack(head[len(_MAGIC) + 1 :])
-            version = fh.read(n)
-            if (d, X, seed, version) != self.header:
+            if head["log"] != _LOG_VERSION:
+                raise PreconditionViolated(f"unsupported checkpoint version {head['log']}")
+            if first != self.header:
                 raise PreconditionViolated(
-                    f"checkpoint was written for d = {d}, X = {X}, seed = {seed} by unitindex "
-                    f"{version.decode(errors='replace')}; refusing to mix scans"
+                    f"checkpoint was written for d = {head['d']}, X = {head['X']}, seed = {head['seed']} "
+                    f"by unitindex {head['version']}; refusing to mix scans"
                 )
-            good_end = fh.tell()
-            while True:
-                prefix = fh.read(4)
-                if len(prefix) < 4:
-                    break
-                (n,) = struct.unpack(">I", prefix)
-                blob = fh.read(n)
-                if len(blob) < n:
-                    break
-                try:
-                    rec = json.loads(blob)
-                except ValueError:
-                    break
+            good_end = len(first)
+            for line in fh:
+                rec = _parsed(line)
                 if type(rec) is not dict or rec.keys() != _RECORD_KEYS or type(rec["p"]) is not int:
-                    break  # JSON, but not a record: cut it back like a torn tail
+                    break  # torn, not JSON, or JSON but not a record: cut it back
                 self.records.append(rec)
-                good_end = fh.tell()
+                good_end += len(line)
         if good_end < os.path.getsize(self.path):
             with open(self.path, "r+b") as fh:
                 fh.truncate(good_end)
 
     def append(self, records: list[dict]):
         with open(self.path, "ab") as fh:
-            for row in _rows(records, partial(json.dumps, sort_keys=True, separators=(",", ":"))):
-                blob = row.encode()
-                fh.write(struct.pack(">I", len(blob)) + blob)
+            fh.write("".join(f"{row}\n" for row in _rows(records, _compact)).encode())
             fh.flush()
             os.fsync(fh.fileno())
 
@@ -320,7 +311,7 @@ def run_scan(cfg: ScanConfig) -> tuple[DensitySummary, list[dict]]:
 
     _context.cache_clear()
     _context(cfg.d).fill(lo, cfg.X)  # forked workers inherit the filled tables
-    pool = get_context("fork").Pool(cfg.workers) if cfg.workers > 1 and len(args) > 1 else None
+    pool = get_context("fork").Pool(min(cfg.workers, len(args))) if cfg.workers > 1 and len(args) > 1 else None
     with pool or nullcontext():
         for shapes, pairs in (pool.imap if pool else map)(_scan_chunk, args):
             chunk = _Records([{**shapes[i], "p": p} for p, i in pairs], shapes, [i for _, i in pairs])
@@ -338,17 +329,7 @@ def run_scan(cfg: ScanConfig) -> tuple[DensitySummary, list[dict]]:
 
 _CSV_FIELDS = ["p", "m", "in_P", "reason", "E_real", "Q_direct", "Q_governing", "a", "b", "alarms"]
 _RECORD_KEYS = frozenset(_CSV_FIELDS)
-_SUMMARY_FIELDS = [
-    "m",
-    "n_total",
-    "n_in_P",
-    "n_E_real",
-    "n_Q2",
-    "freq_Q2",
-    "theory_Q2",
-    "freq_E_real",
-    "theory_E_real",
-]
+_SUMMARY_FIELDS = [f.name for f in fields(DensityRow)]
 
 
 def _cell(value) -> str:

@@ -193,11 +193,24 @@ def test_negative_m_exits_2(tmp_path, capsys):
         assert err == "error: m must be nonnegative, got -1\n"
 
 
-def test_checkpoint_bound_beyond_64_bits_exits_2(tmp_path, capsys):
+def test_checkpoint_takes_d_beyond_64_bits(tmp_path, capsys):
+    # d = 2^64 + 13 is a prime = 1 (mod 4); the log's JSON header holds any integer
+    d = 2**64 + 13
     ck = tmp_path / "scan.log"
-    for d, X in ((65, 2**64 + 1), (2**64 + 13, 100)):
-        code, out, err = run(capsys, ["--d", str(d), "--X", str(X), "--checkpoint", str(ck)])
-        assert code == 2
-        assert out == ""
-        assert err == "error: a checkpoint needs d and X below 2^64\n"
-    assert not ck.exists()
+    outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for out in outs:
+        code, stdout, err = run(capsys, ["--d", str(d), "--X", "3000", "--checkpoint", str(ck), "--out", str(out)])
+        assert (code, stdout, err) == (0, f"wrote {out}: 211 records for d = {d}\n", "")
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert json.loads(ck.read_bytes().split(b"\n")[0])["d"] == d
+
+
+def test_out_message_counts_the_records_written(tmp_path, capsys):
+    # with an m filter the scan covers more primes than it writes
+    for m, n in ((None, 145), ("2", 29)):
+        out = tmp_path / "b.csv"
+        argv = ["--d", "65", "--X", "2000", "--out", str(out)] + (["--m", m] if m else [])
+        code, stdout, err = run(capsys, argv)
+        assert (code, stdout, err) == (0, f"wrote {out}: {n} records for d = 65\n", "")
+        rows = out.read_text().split("\n\n")[0].splitlines()[1:]
+        assert len(rows) == n

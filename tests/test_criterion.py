@@ -356,6 +356,28 @@ def test_small_d_sweep_raises_and_alarms_nothing():
     assert (len(ds), sum(sd.d % 2 == 0 for sd in ds), evaluated) == (134, 36, 81444)
 
 
+def test_even_d_inert_two_cell_passes_the_construction_check():
+    # even d, m = t-2 members with p = 5 (mod 8): the governing route is
+    # undefined there, so the direct verdict must match the generator's sign
+    checked = []
+    for d in (10, 290, 2210):
+        ctx = DContext(factor_squarefree(d))
+        n = 0
+        for p in ctx.candidates(2, 10**5):
+            if p % 8 != 5:
+                continue
+            v = evaluate(ctx, p, construction_check=True)
+            if not v.in_P or v.m != ctx.sd.t - 2:
+                continue
+            assert v.alarms == (), (d, p, v.alarms)
+            assert v.q_governing is None and v.reason == "governing route undefined: b = 5 (mod 8)", (d, p)
+            real = criterion._construction_real(ctx.sd, p, v.decomposition)
+            assert (v.q_direct == 2) == (v.e_totally_real and real), (d, p)
+            n += 1
+        checked.append(n)
+    assert checked == [1200, 1197, 296]
+
+
 def _v2(n):
     return (n & -n).bit_length() - 1
 

@@ -9,6 +9,7 @@ import pkgutil
 import struct
 import tracemalloc
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import pytest
 
@@ -205,15 +206,17 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
         scan(65, 1000, checkpoint=str(ck))
 
 
-def test_checkpoint_survives_torn_length_prefix(tmp_path):
+def test_checkpoint_survives_torn_line(tmp_path):
     ck = str(tmp_path / "scan.log")
     sfull, rfull = scan(65, 800, checkpoint=ck)
     size = os.path.getsize(ck)
-    # a prefix that claims 500 bytes with 7 there, then all 7 bytes there
-    # but not JSON: the resume cuts either tail off
-    for n in (500, 7):
+    # a line torn before its newline; a whole line that is not JSON, alone
+    # and before a good record; a record torn before its newline: the
+    # resume cuts each tail off, the good record after a bad line too
+    whole = json.dumps(rfull[-1], sort_keys=True, separators=(",", ":")).encode()
+    for tail in (b'{"p": 9', b'{"p": 9\n', b'{"p": 9\n' + whole + b"\n", whole[:-1]):
         with open(ck, "ab") as fh:
-            fh.write(struct.pack(">I", n) + b'{"p": 9')
+            fh.write(tail)
         s2, r2 = scan(65, 800, checkpoint=ck)
         assert os.path.getsize(ck) == size
         assert r2 == rfull
@@ -232,7 +235,7 @@ def test_checkpoint_cuts_json_that_is_not_a_record(tmp_path, blob):
     if blob is None:
         blob = json.dumps({k: v for k, v in rfull[-1].items() if k != "m"}).encode()
     with open(ck, "ab") as fh:
-        fh.write(struct.pack(">I", len(blob)) + blob)
+        fh.write(blob + b"\n")
     s2, r2 = scan(65, 2000, checkpoint=ck)
     assert os.path.getsize(ck) == size
     assert r2 == rfull
@@ -541,9 +544,9 @@ def test_several_workers_need_fork(monkeypatch):
 def test_checkpoint_header_records_the_package_version(tmp_path, monkeypatch):
     ck = tmp_path / "scan.log"
     scan(65, 1000, checkpoint=str(ck), seed=7)
-    version = unitindex.__version__.encode()
-    head = experiment._MAGIC + bytes([3]) + struct.pack(">QQIH", 65, 1000, 7, len(version)) + version
-    assert ck.read_bytes().startswith(head)
+    first = ck.read_bytes().split(b"\n")[0]
+    assert json.loads(first) == {"X": 1000, "d": 65, "log": 4, "seed": 7, "version": unitindex.__version__}
+    assert first == json.dumps(json.loads(first), sort_keys=True, separators=(",", ":")).encode()
     monkeypatch.setattr(experiment, "__version__", unitindex.__version__ + ".post1")
     with pytest.raises(PreconditionViolated, match="refusing to mix"):
         scan(65, 1000, checkpoint=str(ck), seed=7)
@@ -559,6 +562,86 @@ def test_checkpoint_refuses_version_2_files(tmp_path):
         with pytest.raises(PreconditionViolated, match="unsupported checkpoint version 2"):
             scan(65, 1000, checkpoint=str(ck))
         assert ck.read_bytes() == body
+
+
+def test_checkpoint_refuses_version_3_files(tmp_path):
+    # the binary version-3 log: a struct header with the package version,
+    # then u32-length-prefixed records; with and without records
+    version = unitindex.__version__.encode()
+    v3 = experiment._MAGIC + bytes([3]) + struct.pack(">QQIH", 65, 1000, 0, len(version)) + version
+    blob = b'{"E_real":true,"Q_direct":2,"Q_governing":2,"a":5,"alarms":[],"b":13,"in_P":true,"m":0,"p":37,"reason":""}'
+    for body in (v3, v3 + struct.pack(">I", len(blob)) + blob):
+        ck = tmp_path / "old.log"
+        ck.write_bytes(body)
+        with pytest.raises(PreconditionViolated, match="unsupported checkpoint version 3"):
+            scan(65, 1000, checkpoint=str(ck))
+        assert ck.read_bytes() == body
+
+
+def test_checkpoint_refuses_other_log_versions_and_foreign_headers(tmp_path):
+    ck = tmp_path / "scan.log"
+    scan(65, 1000, checkpoint=str(ck))
+    body = ck.read_bytes()
+    head = json.loads(body.split(b"\n")[0])
+    cases = [
+        (json.dumps({**head, "log": 5}).encode() + b"\n", "unsupported checkpoint version 5"),
+        (json.dumps({**head, "extra": 1}).encode() + b"\n", "not a scan checkpoint"),
+        (body.split(b"\n")[0], "not a scan checkpoint"),  # a header torn before its newline
+        (b"x" * 10**5, "not a scan checkpoint"),  # no newline at all
+    ]
+    for text, match in cases:
+        ck.write_bytes(text)
+        with pytest.raises(PreconditionViolated, match=match):
+            scan(65, 1000, checkpoint=str(ck))
+        assert ck.read_bytes() == text
+
+
+def test_checkpoint_header_round_trips_beyond_64_bits(tmp_path):
+    # only the header: a scan to X >= 2^64 would sieve up to 2^32
+    ck = str(tmp_path / "scan.log")
+    cfg = ScanConfig(d=2**64 + 13, X=2**70 + 1, checkpoint=ck, seed=2**40 + 3)
+    log = experiment._CheckpointLog(cfg)
+    assert log.records == []
+    head = json.loads(open(ck, "rb").readline())
+    assert head == {"X": 2**70 + 1, "d": 2**64 + 13, "log": 4, "seed": 3, "version": unitindex.__version__}
+    assert experiment._CheckpointLog(cfg).records == []
+    with pytest.raises(PreconditionViolated, match=f"X = {2**70 + 1}, seed = 3 .*refusing to mix"):
+        experiment._CheckpointLog(ScanConfig(d=2**64 + 13, X=2**70, checkpoint=ck, seed=3))
+
+
+def test_pool_has_no_more_processes_than_chunks(monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        # runs the chunks in this process, so the test starts no process
+        imap = staticmethod(map)
+
+        def __init__(self, n):
+            sizes.append(n)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+    monkeypatch.setattr(experiment, "get_context", lambda method: SimpleNamespace(Pool=InlinePool))
+    cfg = ScanConfig(d=65, X=3000, workers=64)
+    assert len(experiment._chunk_ranges(5, cfg.X, cfg.workers)) == 3
+    s64, r64 = run_scan(cfg)
+    assert sizes == [3]
+    s1, r1 = scan(65, 3000, workers=1)
+    assert render_csv(s64, r64) == render_csv(s1, r1)
+    assert render_json(s64, r64) == render_json(s1, r1)
+
+
+def test_chunk_ranges_tile_the_scan():
+    for lo, hi, workers in [(5, 5, 1), (5, 1004, 1), (5, 1005, 1), (5, 3000, 64), (7, 200000, 2), (101, 10**6, 3)]:
+        ranges = experiment._chunk_ranges(lo, hi, workers)
+        assert ranges[0][0] == lo and ranges[-1][1] == hi
+        assert all(b + 1 == a for (_, b), (a, _) in zip(ranges, ranges[1:]))
+        span = max((hi - lo) // (4 * workers) + 1, 1000)
+        assert all(b - a + 1 == span for a, b in ranges[:-1]) and 0 < ranges[-1][1] - ranges[-1][0] + 1 <= span
 
 
 def reference_csv(summary, records):
@@ -589,15 +672,10 @@ def reference_json(summary, records):
 
 
 def logged_blobs(path):
+    # every line after the header, each ended by its own newline
     data = path.read_bytes()
-    at = len(experiment._MAGIC) + 1 + experiment._HEADER.size
-    at += experiment._HEADER.unpack(data[len(experiment._MAGIC) + 1 : at])[-1]
-    blobs = []
-    while at < len(data):
-        (n,) = struct.unpack(">I", data[at : at + 4])
-        blobs.append(data[at + 4 : at + 4 + n])
-        at += 4 + n
-    return blobs
+    assert data.endswith(b"\n")
+    return data.split(b"\n")[1:-1]
 
 
 def generated_records(base):
@@ -665,9 +743,11 @@ def test_render_and_append_dump_once_per_shape(tmp_path, monkeypatch):
         calls[0] += 1
         return inner(*args, **kw)
 
+    # the log dumps its header line when it opens, before the count starts
+    log = experiment._CheckpointLog(ScanConfig(d=1105, X=20000, checkpoint=str(tmp_path / "scan.log")))
     monkeypatch.setattr(experiment.json, "dumps", counting)
     render_json(summary, records)
-    assert calls[0] <= 2 * shapes + 1, (calls[0], shapes)
+    assert 0 < calls[0] <= 2 * shapes + 1, (calls[0], shapes)
     calls[0] = 0
-    experiment._CheckpointLog(ScanConfig(d=1105, X=20000, checkpoint=str(tmp_path / "scan.log"))).append(records)
-    assert calls[0] <= 2 * shapes, (calls[0], shapes)
+    log.append(records)
+    assert 0 < calls[0] <= 2 * shapes, (calls[0], shapes)
